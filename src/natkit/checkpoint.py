@@ -32,10 +32,23 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ModelConfig:
+    """The model config a header holds; a bad one is a :class:`CheckpointError`."""
+    if not isinstance(d, dict):
+        raise CheckpointError(f"checkpoint config is not a mapping: {d!r}")
+    fields = dataclasses.fields(ModelConfig)
+    unknown = sorted(set(d) - {f.name for f in fields})
+    if unknown:
+        raise CheckpointError(f"unknown checkpoint config keys: {', '.join(unknown)}")
+    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in d]
+    if missing:
+        raise CheckpointError(f"checkpoint config lacks required keys: {', '.join(missing)}")
     d = dict(d)
-    if d.get("dec_self_attention") is not None:
-        d["dec_self_attention"] = tuple(bool(b) for b in d["dec_self_attention"])
-    return ModelConfig(**d)
+    try:
+        if d.get("dec_self_attention") is not None:
+            d["dec_self_attention"] = tuple(bool(b) for b in d["dec_self_attention"])
+        return ModelConfig(**d)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"invalid checkpoint config: {e}") from e
 
 
 def save_checkpoint(

@@ -324,7 +324,12 @@ def cmd_decode(args) -> int:
     sources = _encode_sources(vocab, _checked_lines(args.src), args.src)
     counter = ForwardCounter()
     decoder = _decoder_for(params, config, counter)
-    hyp_lines = [detokenize(vocab, decoder(ids)) for ids in sources]
+    hyp_lines = []
+    for lineno, ids in enumerate(sources, start=1):
+        try:
+            hyp_lines.append(detokenize(vocab, decoder(ids)))
+        except ModelError as exc:
+            raise InputError(f"{args.src}:{lineno}: {exc}") from None
     _emit("".join(line + "\n" for line in hyp_lines), args.out)
     sys.stdout.write(f"decoded {len(sources)} sentences in {counter.passes} decoder passes\n")
     return EXIT_OK

@@ -227,6 +227,12 @@ def _softmax_back(A: np.ndarray, dA: np.ndarray) -> np.ndarray:
     return A * (dA - (dA * A).sum(axis=-1, keepdims=True))
 
 
+def _attend(scores: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """One query's softmax-weighted sum of value rows (no masked scores)."""
+    e = np.exp(scores - scores.max())
+    return (e @ values) / e.sum()
+
+
 def _dropout(x: np.ndarray, p: float, train: bool, rng: np.random.Generator | None):
     if not train or p <= 0.0:
         return x, None
@@ -682,21 +688,49 @@ def decode_at(
 ) -> tuple[int, ...]:
     """Greedy left-to-right decoding; stops at <eos> or 2J + max_extra tokens.
 
-    The encoder runs once; every emitted token costs one decoder pass over the
-    prefix, and the pass that produces <eos> is counted too.
+    The encoder runs once, and each layer's cross-attention keys and values
+    are projected once per sentence. Every emitted token then costs one
+    decoder pass over the newest position only: its self-attention key and
+    value join a per-layer cache, and it attends over every cached row, which
+    is causal without a mask. Logits are computed for that row alone. With no
+    layer norm this equals the teacher-forced :func:`forward` up to rounding.
+    The pass that produces <eos> is counted too.
     """
     if not config.autoregressive:
         raise ModelError("decode_at needs an autoregressive config")
     enc_out, _, _ = _encode(params, config, src_ids, train=False, rng=None)
+    E, pos = params["emb"], params["pos_dec"]
+    d = config.d_model
+    scale = 1.0 / math.sqrt(d)
     cap = 2 * len(src_ids) + max_extra
-    ys = [BOS_ID]
+    # per layer: the scaled query and the key/value projections as one
+    # matrix, an empty key/value cache, the cross-attention query folded into
+    # the projected encoder keys, the projected encoder values, and the FFN
+    layers = [
+        (np.hstack([params[f"dec{l}_sq"] * scale, params[f"dec{l}_sk"], params[f"dec{l}_sv"]]),
+         np.empty((config.max_len, d)), np.empty((config.max_len, d)),
+         (params[f"dec{l}_cq"] * scale) @ (enc_out @ params[f"dec{l}_ck"]).T,
+         enc_out @ params[f"dec{l}_cv"],
+         params[f"dec{l}_W"], params[f"dec{l}_b"])
+        for l in range(config.dec_layers)
+    ]
+    prev = BOS_ID
     out: list[int] = []
-    while len(out) < cap:
-        base = params["emb"][np.asarray(ys, dtype=np.int64)]
-        _, logits, _ = _decode_stack(params, config, enc_out, base, train=False, rng=None, counter=counter)
-        nxt = int(np.argmax(logits[-1][-1]))
-        if nxt == EOS_ID:
+    for t in range(cap):
+        if t == config.max_len:
+            raise ModelError(f"decoder length {t + 1} exceeds max_len={config.max_len}")
+        if counter is not None:
+            counter.tick()
+        x = E[prev] + pos[t]
+        for Wqkv, keys, values, Wc, cv, W, b in layers:
+            qkv = x @ Wqkv
+            keys[t] = qkv[d:2 * d]
+            values[t] = qkv[2 * d:]
+            x = x + _attend(keys[:t + 1] @ qkv[:d], values[:t + 1])
+            x = x + _attend(x @ Wc, cv)
+            x = x + _act(config.activation, x @ W + b)
+        prev = int(np.argmax(E @ x))
+        if prev == EOS_ID:
             break
-        out.append(nxt)
-        ys.append(nxt)
+        out.append(prev)
     return tuple(out)

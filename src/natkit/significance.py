@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import METRICS, SCORERS_FROM_STATS, lower_is_better
+from .metrics import METRICS, SCORERS_FROM_STATS, ScoreReport, lower_is_better
 
 
 class SignificanceError(ValueError):
@@ -62,6 +62,25 @@ def _resample_counts(rng: np.random.Generator, n_resamples: int, n: int) -> np.n
     return np.stack([np.bincount(row, minlength=n) for row in idx]).astype(float)
 
 
+@dataclass(frozen=True)
+class _ScoredRun(SystemRun):
+    """A run that :func:`mark_table` has scored once, so that every
+    comparison it takes part in reuses the report."""
+
+    report: ScoreReport | None = None
+
+
+def _check_metric(metric: str) -> None:
+    if metric not in METRICS:
+        raise SignificanceError(f"unknown metric: {metric!r}")
+
+
+def _score(run: SystemRun, refs: list[str], metric: str) -> ScoreReport:
+    if isinstance(run, _ScoredRun) and run.report.metric == metric:
+        return run.report
+    return METRICS[metric](list(run.hypotheses), refs)
+
+
 def paired_bootstrap(
     base: SystemRun,
     cand: SystemRun,
@@ -72,8 +91,7 @@ def paired_bootstrap(
     seed: int = 0,
 ) -> BootstrapResult:
     """One-sided bootstrap p-value for the observed winner between two systems."""
-    if metric not in METRICS:
-        raise SignificanceError(f"unknown metric: {metric!r}")
+    _check_metric(metric)
     if n_resamples < 100:
         raise SignificanceError("n_resamples must be at least 100")
     n = len(refs)
@@ -84,8 +102,8 @@ def paired_bootstrap(
         )
 
     refs = list(refs)
-    report_b = METRICS[metric](list(base.hypotheses), refs)
-    report_c = METRICS[metric](list(cand.hypotheses), refs)
+    report_b = _score(base, refs, metric)
+    report_c = _score(cand, refs, metric)
     sign = -1.0 if lower_is_better(metric) else 1.0
     delta = sign * (report_c.value - report_b.value)
     winner = "tie" if delta == 0 else ("cand" if delta > 0 else "base")
@@ -134,18 +152,20 @@ def mark_table(
     seed: int = 0,
     alpha: float = 0.05,
 ) -> list[TableRow]:
-    """Score every system and attach protocol-determined pairwise p-values."""
+    """Score every system once and attach protocol-determined pairwise p-values."""
+    _check_metric(metric)
     if not blocks or any(not block for block in blocks):
         raise SignificanceError("empty block")
     for block in blocks:
         if block[0].system.startswith("+"):
             raise SignificanceError(f"block without a root: first row is {block[0].system!r}")
 
+    refs = list(refs)
     rows: list[TableRow] = []
-    first_root: SystemRun | None = None
+    first_root: _ScoredRun | None = None
     for block in blocks:
         root = block[0]
-        by_label = {}
+        by_label: dict[str, _ScoredRun] = {}
         for i, run in enumerate(block):
             if i > 0 and not run.system.startswith("+"):
                 raise SignificanceError(
@@ -153,7 +173,12 @@ def mark_table(
                 )
             if run.system in by_label:
                 raise SignificanceError(f"duplicate system label: {run.system!r}")
-            by_label[run.system] = run
+            if len(run.hypotheses) != len(refs):
+                raise SignificanceError(
+                    f"corpus sizes differ: {run.system!r} {len(run.hypotheses)}, refs {len(refs)}"
+                )
+            by_label[run.system] = _ScoredRun(run.system, run.hypotheses, run.role,
+                                              _score(run, refs, metric))
 
         for i, run in enumerate(block):
             if i == 0:
@@ -165,18 +190,18 @@ def mark_table(
                         f"row {run.system!r} has no base row {parent!r} in its block"
                     )
                 base_run = by_label[parent]
+            scored = by_label[run.system]
             if base_run is None:
-                value = METRICS[metric](list(run.hypotheses), list(refs)).value
-                rows.append(TableRow(run.system, value, None, None, False))
+                rows.append(TableRow(run.system, scored.report.value, None, None, False))
             else:
                 res = paired_bootstrap(
-                    base_run, run, refs, metric, n_resamples=n_resamples, seed=seed
+                    base_run, scored, refs, metric, n_resamples=n_resamples, seed=seed
                 )
                 rows.append(
                     TableRow(run.system, res.cand_value, base_run.system, res.p_value, res.p_value >= alpha)
                 )
         if first_root is None:
-            first_root = blocks[0][0]
+            first_root = by_label[root.system]
     return rows
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,39 @@ class TestCorruption:
         path.write_bytes(raw)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def edit_config(path, edit):
+    """Rewrite a saved checkpoint's header with ``edit`` applied to its config."""
+    magic, header, body = path.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    edit(header["config"])
+    path.write_bytes(magic + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+
+
+class TestBadConfig:
+    def test_unknown_key(self, tmp_path):
+        cfg, vocab, params, path = fixture(tmp_path)
+        save_checkpoint(path, params, cfg, vocab)
+        edit_config(path, lambda c: c.update(n_heads=4))
+        with pytest.raises(CheckpointError, match="unknown checkpoint config keys: n_heads"):
+            load_checkpoint(path)
+
+    def test_missing_vocab_size(self, tmp_path):
+        cfg, vocab, params, path = fixture(tmp_path)
+        save_checkpoint(path, params, cfg, vocab)
+        edit_config(path, lambda c: c.pop("vocab_size"))
+        with pytest.raises(CheckpointError, match="lacks required keys: vocab_size"):
+            load_checkpoint(path)
+
+    def test_rejected_values(self):
+        good = config_to_dict(ModelConfig(vocab_size=9, d_model=8, max_len=16))
+        for key, value in (("d_model", 1), ("activation", "tanh"), ("d_model", "wide"),
+                           ("dec_self_attention", 3)):
+            with pytest.raises(CheckpointError, match="invalid checkpoint config"):
+                config_from_dict({**good, key: value})
+        with pytest.raises(CheckpointError):
+            config_from_dict(["vocab_size", 9])
 
 
 class TestConfigDict:

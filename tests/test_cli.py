@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from natkit.checkpoint import save_checkpoint
 from natkit.cli import main
 from natkit.corpus import read_lines, synth_task, synth_vocab, write_parallel
 from natkit.metrics import bleu
+from natkit.model import ModelConfig, init_params
 
 TRAIN_INI = """\
 [data]
@@ -274,6 +277,34 @@ class TestDecode:
             ["decode", "--checkpoint", str(trained["ckpt"]), "--src", str(bad)]
         ) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, n_long", [("ctc", 17), ("at", 21)])
+    def test_over_long_line_named_exit_2(self, tmp_path, capsys, mode, n_long):
+        # upsample 3 needs 3 * 17 = 51 positions; the AT cap 2 * 21 + 8 = 50
+        # passes max_len when zero weights never predict <eos>
+        vocab = synth_vocab(12)
+        kw = {"upsample": 3} if mode == "ctc" else {"autoregressive": True}
+        config = ModelConfig(vocab_size=len(vocab), d_model=8, enc_layers=1, dec_layers=1,
+                             max_len=48, **kw)
+        params = {k: np.zeros_like(v) for k, v in init_params(config, 0).items()}
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, params, config, vocab)
+        words = vocab.tokens[len(vocab.specials):]
+        src = tmp_path / "src.txt"
+        src.write_text(" ".join(words[:4]) + "\n" + " ".join(words[i % len(words)] for i in range(n_long)) + "\n")
+        out = tmp_path / "hyp.txt"
+        assert main(["decode", "--checkpoint", str(ckpt), "--src", str(src), "--out", str(out)]) == 2
+        assert f"{src}:2: decoder length" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_with_unknown_config_key_exit_2(self, tmp_path, trained, capsys):
+        magic, header, body = trained["ckpt"].read_bytes().split(b"\n", 2)
+        header = json.loads(header)
+        header["config"]["n_heads"] = 4
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(magic + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+        assert main(["decode", "--checkpoint", str(bad), "--src", str(trained["src"])]) == 2
+        assert "n_heads" in capsys.readouterr().err
 
 
 class TestSweep:

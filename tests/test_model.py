@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from natkit.corpus import BLANK_ID, BOS_ID, EOS_ID, UNK_ID
 from natkit.ctc import log_softmax
 from natkit.glancing import GlanceMask
 from natkit.model import (
+    ACTIVATIONS,
+    INITS,
     ForwardCounter,
     ModelConfig,
     ModelError,
@@ -513,6 +516,59 @@ class TestDecodeAt:
         c = cfg()
         with pytest.raises(ModelError):
             decode_at(init_params(c, 0), c, SRC)
+
+    def test_prefix_past_max_len_raises(self):
+        c = cfg(autoregressive=True, max_len=10)  # cap 2 * 3 + 8 = 14 > 10
+        counter = ForwardCounter()
+        with pytest.raises(ModelError, match=r"^decoder length 11 exceeds max_len=10$"):
+            decode_at(zeroed_like(c), c, SRC, counter=counter)  # never emits eos
+        assert counter.passes == 10
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        vocab_size=st.integers(6, 16),
+        d_model=st.integers(2, 16),
+        dec_layers=st.integers(1, 3),
+        activation=st.sampled_from(ACTIVATIONS),
+        init=st.sampled_from(INITS),
+        dropout=st.sampled_from([0.0, 0.1, 0.5]),
+        max_len=st.integers(3, 16),
+        max_extra=st.integers(0, 8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_teacher_forced_pass(self, data, vocab_size, d_model, dec_layers,
+                                         activation, init, dropout, max_len, max_extra, seed):
+        # Greedy output is fixed by one property: every emitted token, and the
+        # <eos> it stopped on, is the argmax of a teacher-forced pass over
+        # <bos> + output. Dropout must not act, because decoding is eval mode.
+        c = ModelConfig(vocab_size=vocab_size, d_model=d_model, enc_layers=1,
+                        dec_layers=dec_layers, activation=activation, init=init,
+                        dropout=dropout, autoregressive=True, max_len=max_len)
+        src = tuple(data.draw(st.lists(st.integers(5, vocab_size - 1), min_size=1, max_size=max_len)))
+        p = init_params(c, seed)
+        cap = 2 * len(src) + max_extra
+        counter = ForwardCounter()
+        try:
+            out = decode_at(p, c, src, max_extra=max_extra, counter=counter)
+        except ModelError as exc:
+            assert str(exc) == f"decoder length {max_len + 1} exceeds max_len={max_len}"
+            assert cap > max_len and counter.passes == max_len
+            # the guard fired only if a cap of exactly max_len runs out without <eos>
+            cap = max_len
+            counter = ForwardCounter()
+            out = decode_at(p, c, src, max_extra=cap - 2 * len(src), counter=counter)
+            assert len(out) == cap
+        stopped = len(out) < cap
+        prev = (BOS_ID,) + (out if stopped else out[:-1])
+        states = forward(p, c, src, len(prev), prev_ids=prev)
+        pred = tuple(int(i) for i in np.argmax(states.logits[-1], axis=1))
+        assert pred[:len(out)] == out
+        if stopped:
+            assert pred[len(out)] == EOS_ID
+            assert counter.passes == len(out) + 1
+        else:
+            assert counter.passes == cap
 
 
 class TestAverageParams:

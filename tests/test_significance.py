@@ -1,5 +1,6 @@
 import pytest
 
+from natkit.metrics import METRICS
 from natkit.significance import (
     BootstrapResult,
     SignificanceError,
@@ -147,6 +148,26 @@ class TestMarkTable:
     def test_deterministic(self):
         assert mark_table(self.blocks(), REFS, seed=5) == mark_table(self.blocks(), REFS, seed=5)
 
+    def test_each_system_scored_once(self, monkeypatch):
+        calls = []
+        scorer = METRICS["bleu"]
+
+        def counted(hyps, refs):
+            calls.append(1)
+            return scorer(hyps, refs)
+
+        monkeypatch.setitem(METRICS, "bleu", counted)
+        rows = mark_table(self.blocks()[:2], REFS, "bleu")
+        assert len(rows) == 4
+        assert len(calls) == 4
+
+    def test_rows_match_pairwise_bootstrap(self):
+        blocks = self.blocks()
+        rows = {r.system: r for r in mark_table(blocks, REFS, "chrf", seed=2, n_resamples=200)}
+        ctc, glat = blocks[1][0], blocks[1][1]
+        res = paired_bootstrap(ctc, glat, REFS, "chrf", seed=2, n_resamples=200)
+        assert (rows["+GLAT"].value, rows["+GLAT"].p_value) == (res.cand_value, res.p_value)
+
     def test_errors(self):
         with pytest.raises(SignificanceError):
             mark_table([], REFS)
@@ -160,6 +181,10 @@ class TestMarkTable:
             mark_table([[run("root", REFS), run("+A+B", REFS)]], REFS)
         with pytest.raises(SignificanceError):
             mark_table([[run("root", REFS), run("+A", REFS), run("+A", REFS)]], REFS)
+        with pytest.raises(SignificanceError):
+            mark_table([[run("root", REFS), run("+A", REFS[:-1])]], REFS)
+        with pytest.raises(SignificanceError):
+            mark_table([[run("root", REFS)]], REFS, "comet")
 
 
 class TestFormatTable:
