@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from natkit.corpus import Vocabulary
-from natkit.model import ModelConfig, Params
+from natkit.corpus import CorpusError, Vocabulary
+from natkit.model import ModelConfig, Params, _param_keys
 
 MAGIC = b"natkit-checkpoint"
 FORMAT_VERSION = 1
@@ -51,6 +52,24 @@ def config_from_dict(d: dict) -> ModelConfig:
         raise CheckpointError(f"invalid checkpoint config: {e}") from e
 
 
+def _check_manifest(manifest, config: ModelConfig, path) -> None:
+    """The tensors a header lists must be exactly those ``config`` needs, in
+    the name order :func:`save_checkpoint` writes."""
+    expected = [[name, list(shape)] for name, shape in sorted(_param_keys(config))]
+    if manifest == expected:
+        return
+    if not isinstance(manifest, list):
+        raise CheckpointError(f"checkpoint {path} manifest is not a list")
+    got, want = next((g, w) for g, w in zip_longest(manifest, expected) if g != w)
+    if got is None:
+        detail = f"lacks {want!r}, which its config needs"
+    elif want is None:
+        detail = f"lists {got!r}, which its config does not use"
+    else:
+        detail = f"lists {got!r} where its config needs {want!r}"
+    raise CheckpointError(f"checkpoint {path} manifest {detail}")
+
+
 def save_checkpoint(
     path: str | Path,
     params: Params,
@@ -83,13 +102,27 @@ def load_checkpoint(path: str | Path) -> tuple[Params, ModelConfig, Vocabulary, 
             header = json.loads(fh.readline().decode("utf-8"))
         except json.JSONDecodeError as e:
             raise CheckpointError(f"unreadable checkpoint header in {path}: {e}") from e
+        if not isinstance(header, dict):
+            raise CheckpointError(f"checkpoint header in {path} is not a mapping")
         if header.get("format") != FORMAT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint format {header.get('format')!r}, "
                 f"this build reads version {FORMAT_VERSION}"
             )
+        missing = [k for k in ("config", "vocab", "specials", "manifest") if k not in header]
+        if missing:
+            raise CheckpointError(f"checkpoint {path} header lacks {', '.join(missing)}")
         config = config_from_dict(header["config"])
-        vocab = Vocabulary(tokens=tuple(header["vocab"]), specials=tuple(header["specials"]))
+        _check_manifest(header["manifest"], config, path)
+        try:
+            vocab = Vocabulary(tokens=tuple(header["vocab"]), specials=tuple(header["specials"]))
+        except (TypeError, CorpusError) as e:
+            raise CheckpointError(f"checkpoint {path} has an invalid vocabulary: {e}") from e
+        if len(vocab.tokens) != config.vocab_size:
+            raise CheckpointError(
+                f"checkpoint {path} vocabulary has {len(vocab.tokens)} tokens, "
+                f"its config vocab_size={config.vocab_size}"
+            )
         params: Params = {}
         for name, shape in header["manifest"]:
             n = int(np.prod(shape)) if shape else 1

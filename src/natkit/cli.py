@@ -13,6 +13,7 @@ import argparse
 import configparser
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -224,6 +225,28 @@ def _decoder_for(params, config: ModelConfig, counter: ForwardCounter | None = N
     return lambda ids: decode(params, config, ids, counter=counter)
 
 
+def _decode_lines(decoder, sources, src_path) -> list:
+    """Decode every source; one the model cannot decode raises ``src_path:line: …``."""
+    out = []
+    for lineno, ids in enumerate(sources, start=1):
+        try:
+            out.append(decoder(ids))
+        except ModelError as exc:
+            raise InputError(f"{src_path}:{lineno}: {exc}") from None
+    return out
+
+
+@contextmanager
+def _naming_ref_lines(ref_path):
+    """Re-raise a reference line's ``MetricError`` as ``ref_path:line: reason``."""
+    try:
+        yield
+    except MetricError as exc:
+        if exc.line is None:
+            raise
+        raise InputError(f"{ref_path}:{exc.line}: {exc.reason}") from None
+
+
 def _encode_sources(vocab, lines, origin) -> list[tuple[int, ...]]:
     encoded = []
     for i, line in enumerate(lines, start=1):
@@ -240,7 +263,8 @@ def _encode_sources(vocab, lines, origin) -> list[tuple[int, ...]]:
 
 def cmd_score(args) -> int:
     hyps, refs = _aligned(args.hyp, args.ref)
-    reports = [METRICS[name](hyps, refs) for name in _metric_names(args.metrics)]
+    with _naming_ref_lines(args.ref):
+        reports = [METRICS[name](hyps, refs) for name in _metric_names(args.metrics)]
     if args.json:
         text = json.dumps([r.to_dict() for r in reports], sort_keys=True) + "\n"
     else:
@@ -287,9 +311,10 @@ def cmd_signif(args) -> int:
     if len(names) != 1:
         raise InputError("signif takes exactly one metric")
     metric = names[0]
-    rows = mark_table(
-        blocks, refs, metric, n_resamples=args.n_resamples, seed=args.seed
-    )
+    with _naming_ref_lines(args.ref):
+        rows = mark_table(
+            blocks, refs, metric, n_resamples=args.n_resamples, seed=args.seed
+        )
     _emit(format_table(rows, metric), args.out)
     return EXIT_OK
 
@@ -324,12 +349,7 @@ def cmd_decode(args) -> int:
     sources = _encode_sources(vocab, _checked_lines(args.src), args.src)
     counter = ForwardCounter()
     decoder = _decoder_for(params, config, counter)
-    hyp_lines = []
-    for lineno, ids in enumerate(sources, start=1):
-        try:
-            hyp_lines.append(detokenize(vocab, decoder(ids)))
-        except ModelError as exc:
-            raise InputError(f"{args.src}:{lineno}: {exc}") from None
+    hyp_lines = [detokenize(vocab, ids) for ids in _decode_lines(decoder, sources, args.src)]
     _emit("".join(line + "\n" for line in hyp_lines), args.out)
     sys.stdout.write(f"decoded {len(sources)} sentences in {counter.passes} decoder passes\n")
     return EXIT_OK
@@ -393,9 +413,14 @@ def cmd_bench(args) -> int:
         params, config, vocab, _ = load_checkpoint(ckpt)
         sources = _encode_sources(vocab, lines, args.src)
         decoder = _decoder_for(params, config)
-        stats.append(
-            time_decode(decoder, sources, runs=args.runs, warmup=args.warmup, label=label)
-        )
+        try:
+            stats.append(
+                time_decode(decoder, sources, runs=args.runs, warmup=args.warmup, label=label)
+            )
+        except ModelError:
+            # name the line only on failure, so that the timed path does no extra work
+            _decode_lines(decoder, sources, args.src)
+            raise
     _emit(format_bench_table(stats, base_label), args.out)
     return EXIT_OK
 

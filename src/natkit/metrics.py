@@ -43,7 +43,16 @@ DEFAULT_BLEU_BUCKETS = (0, 10, 20, 30, 40, 50)
 
 
 class MetricError(ValueError):
-    """Invalid metric input (empty corpus, length mismatch, empty reference)."""
+    """Invalid metric input (empty corpus, length mismatch, empty reference).
+
+    ``line`` is the 1-based corpus line at fault, or None when the error
+    concerns the corpus as a whole; ``reason`` is the message without it.
+    """
+
+    def __init__(self, reason: str, line: int | None = None):
+        super().__init__(reason if line is None else f"line {line}: {reason}")
+        self.reason = reason
+        self.line = line
 
 
 @dataclass(frozen=True)
@@ -215,17 +224,46 @@ def tokenize_tercom(sentence: str) -> list[str]:
 
 
 def levenshtein(a, b) -> int:
-    """Unit-cost edit distance between two sequences (or strings)."""
+    """Unit-cost edit distance between two sequences (or strings).
+
+    Bit-parallel (Myers 1999, in Hyyrö's 2001 formulation): one column of the
+    DP table, over the shorter sequence, is held as two bit-vectors of +1/-1
+    vertical deltas in Python ints, and each item of the longer sequence
+    updates the whole column with a fixed number of integer operations.  The carry of 1 into
+    row 0 of the horizontal delta makes the first DP row 0, 1, 2, ..., so the
+    result is the global distance.  Items are compared by hash and equality.
+    """
     a, b = list(a), list(b)
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        cur = [i]
-        for j, y in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
-        prev = cur
-    return prev[-1]
+    m = len(b)
+    if m == 0:
+        return len(a)
+    peq: dict = {}
+    bit = 1
+    for y in b:
+        peq[y] = peq.get(y, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    top = bit >> 1
+    # carries move only upward, so bits from m up never reach the low m bits;
+    # the masks keep the ints m bits wide (``~`` of a Python int is negative)
+    pv, mv, dist = mask, 0, m
+    for x in a:
+        eq = peq.get(x, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & top:
+            dist += 1
+        elif mh & top:
+            dist -= 1
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+    return dist
 
 
 def _contiguous_in(piece: list[str], ref: list[str]) -> bool:
@@ -289,7 +327,13 @@ def ter_score_from_stats(agg: np.ndarray) -> np.ndarray:
 
 def ter(hyps: list[str], refs: list[str]) -> ScoreReport:
     _check_corpus(hyps, refs)
-    stats = np.stack([ter_sentence_stats(h, r) for h, r in zip(hyps, refs)])
+    rows = []
+    for line, (h, r) in enumerate(zip(hyps, refs), start=1):
+        try:
+            rows.append(ter_sentence_stats(h, r))
+        except MetricError as e:
+            raise MetricError(e.reason, line=line) from None
+    stats = np.stack(rows)
     value = float(ter_score_from_stats(stats.sum(axis=0)))
     return ScoreReport("ter", value, SIG_TER, stats)
 

@@ -96,12 +96,17 @@ class TestCorruption:
             load_checkpoint(path)
 
 
-def edit_config(path, edit):
-    """Rewrite a saved checkpoint's header with ``edit`` applied to its config."""
+def edit_header(path, edit):
+    """Rewrite a saved checkpoint's header with ``edit`` applied to it."""
     magic, header, body = path.read_bytes().split(b"\n", 2)
     header = json.loads(header)
-    edit(header["config"])
+    edit(header)
     path.write_bytes(magic + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+
+
+def edit_config(path, edit):
+    """Rewrite a saved checkpoint's header with ``edit`` applied to its config."""
+    edit_header(path, lambda header: edit(header["config"]))
 
 
 class TestBadConfig:
@@ -143,3 +148,65 @@ class TestConfigDict:
             ModelConfig(vocab_size=9, autoregressive=True),
         ):
             assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+class TestBadHeader:
+    @pytest.mark.parametrize("key", ["config", "vocab", "specials", "manifest"])
+    def test_missing_key(self, tmp_path, key):
+        cfg, vocab, params, path = fixture(tmp_path)
+        save_checkpoint(path, params, cfg, vocab)
+        edit_header(path, lambda h: h.pop(key))
+        with pytest.raises(CheckpointError, match=f"header lacks {key}"):
+            load_checkpoint(path)
+
+    def test_header_not_a_mapping(self, tmp_path):
+        cfg, vocab, params, path = fixture(tmp_path)
+        save_checkpoint(path, params, cfg, vocab)
+        magic, _, body = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(magic + b"\n[1]\n" + body)
+        with pytest.raises(CheckpointError, match="not a mapping"):
+            load_checkpoint(path)
+
+    def test_manifest_lacks_a_tensor(self, tmp_path):
+        cfg, vocab, params, path = fixture(tmp_path)
+        save_checkpoint(path, params, cfg, vocab)
+        edit_header(path, lambda h: h.update(manifest=[e for e in h["manifest"] if e[0] != "dec0_W"]))
+        with pytest.raises(CheckpointError, match="config needs \\['dec0_W', \\[8, 8\\]\\]"):
+            load_checkpoint(path)
+
+    def test_manifest_shape_differs_from_config(self, tmp_path):
+        cfg, vocab, params, path = fixture(tmp_path)
+        save_checkpoint(path, params, cfg, vocab)
+        # the tensors were written at d_model 8
+        edit_config(path, lambda c: c.update(d_model=4))
+        with pytest.raises(CheckpointError, match="manifest lists"):
+            load_checkpoint(path)
+
+    def test_manifest_with_extra_tensor(self, tmp_path):
+        cfg, vocab, params, path = fixture(tmp_path)
+        save_checkpoint(path, params, cfg, vocab)
+        edit_header(path, lambda h: h["manifest"].append(["zz_extra", [2]]))
+        with pytest.raises(CheckpointError, match="zz_extra', \\[2\\]\\], which its config does not use"):
+            load_checkpoint(path)
+
+    def test_vocabulary_size_differs_from_config(self, tmp_path):
+        cfg, vocab, params, path = fixture(tmp_path)
+        save_checkpoint(path, params, cfg, vocab)
+        edit_header(path, lambda h: h.update(vocab=h["vocab"][:-1]))
+        with pytest.raises(CheckpointError, match="vocabulary has 8 tokens, its config vocab_size=9"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("vocab", [5, ["<unk>", "aa"], ["<unk>", "<blank>", "<pad>", "<bos>", "<eos>", "aa", "aa"]])
+    def test_invalid_vocabulary(self, tmp_path, vocab):
+        cfg, _, params, path = fixture(tmp_path)
+        save_checkpoint(path, params, cfg, Vocabulary.from_tokens(["aa", "bb", "cc", "dd"]))
+        edit_header(path, lambda h: h.update(vocab=vocab))
+        with pytest.raises(CheckpointError, match="invalid vocabulary"):
+            load_checkpoint(path)
+
+    def test_manifest_not_a_list(self, tmp_path):
+        cfg, vocab, params, path = fixture(tmp_path)
+        save_checkpoint(path, params, cfg, vocab)
+        edit_header(path, lambda h: h.update(manifest=7))
+        with pytest.raises(CheckpointError, match="manifest is not a list"):
+            load_checkpoint(path)

@@ -38,6 +38,15 @@ def write_corpus(dir_path, n=40, seed=5):
     return dir_path / "src.txt", dir_path / "tgt.txt"
 
 
+def edited_checkpoint(ckpt, dest, edit):
+    """A copy of ``ckpt`` at ``dest`` with ``edit`` applied to its JSON header."""
+    magic, header, body = ckpt.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    edit(header)
+    dest.write_bytes(magic + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+    return dest
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """One small trained checkpoint shared by the decode and bench tests."""
@@ -106,6 +115,16 @@ class TestScore:
         ref.write_text("a\n")
         assert main(["score", "--hyp", str(ref), "--ref", str(ref), "--metrics", "comet"]) == 2
 
+    def test_empty_reference_line_named_exit_2(self, tmp_path, capsys):
+        hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+        hyp.write_text("a b\nc d\n")
+        ref.write_text("a b\n\n")
+        assert main(["score", "--hyp", str(hyp), "--ref", str(ref)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {ref}:2: TER needs a non-empty reference sentence\n"
+        )
+        assert main(["score", "--hyp", str(hyp), "--ref", str(ref), "--metrics", "bleu,chrf"]) == 0
+
 
 class TestSignif:
     def make_files(self, tmp_path):
@@ -164,6 +183,18 @@ class TestSignif:
         spec = tmp_path / "table.spec"
         spec.write_text("no tab separator here\n")
         assert main(["signif", "--spec", str(spec), "--ref", str(ref)]) == 2
+
+    def test_empty_reference_line_named_exit_2(self, tmp_path, capsys):
+        ref, perfect, noisy = self.make_files(tmp_path)
+        lines = ref.read_text().split("\n")
+        lines[4] = ""
+        ref.write_text("\n".join(lines))
+        spec = tmp_path / "table.spec"
+        spec.write_text(f"base\t{noisy.name}\n+fix\t{perfect.name}\n")
+        args = ["signif", "--spec", str(spec), "--ref", str(ref), "--n-resamples", "100"]
+        assert main(args + ["--metric", "ter"]) == 2
+        assert f"error: {ref}:5: TER needs" in capsys.readouterr().err
+        assert main(args + ["--metric", "bleu"]) == 0
 
     def test_child_without_parent_exit_2(self, tmp_path, capsys):
         ref, perfect, _ = self.make_files(tmp_path)
@@ -306,6 +337,16 @@ class TestDecode:
         assert main(["decode", "--checkpoint", str(bad), "--src", str(trained["src"])]) == 2
         assert "n_heads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.pop("manifest"), "header lacks manifest"),
+        (lambda h: h.update(manifest=[e for e in h["manifest"] if e[0] != "dec0_W"]), "'dec0_W'"),
+        (lambda h: h.update(vocab=h["vocab"][:-1]), "vocab_size"),
+    ])
+    def test_malformed_checkpoint_header_exit_2(self, tmp_path, trained, capsys, edit, message):
+        bad = edited_checkpoint(trained["ckpt"], tmp_path / "bad.ckpt", edit)
+        assert main(["decode", "--checkpoint", str(bad), "--src", str(trained["src"])]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestSweep:
     def test_dropout_grid_six_rows(self, tmp_path, capsys):
@@ -365,6 +406,24 @@ class TestBench:
         assert lines[0] == "label\tmean_ms\tstd_ms\truns\tspeedup_vs_base"
         cols = lines[1].split("\t")
         assert cols[0] == "nat" and cols[2] == "0.000" and cols[4] == "1.0"
+
+    def test_over_long_line_named_exit_2(self, tmp_path, capsys):
+        # upsample 3 needs 3 * 17 = 51 positions, past max_len 48
+        vocab = synth_vocab(12)
+        config = ModelConfig(vocab_size=len(vocab), d_model=8, enc_layers=1, dec_layers=1,
+                             upsample=3, max_len=48)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, init_params(config, 0), config, vocab)
+        words = vocab.tokens[len(vocab.specials):]
+        src = tmp_path / "src.txt"
+        src.write_text(" ".join(words[:4]) + "\n" + " ".join(words[i % len(words)] for i in range(17)) + "\n")
+        out = tmp_path / "table.tsv"
+        assert main(["bench", "--system", f"nat={ckpt}", "--src", str(src),
+                     "--runs", "1", "--warmup", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}:2: decoder length 51 exceeds max_len=48\n"
+        )
+        assert not out.exists()
 
     def test_bad_system_spec_exit_2(self, tmp_path, trained, capsys):
         assert main(["bench", "--system", "justalabel", "--src", str(trained["src"])]) == 2

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natkit.metrics import (
@@ -25,6 +25,20 @@ from natkit.metrics import (
 )
 
 IDENT = ["the quick brown fox jumps", "over the lazy dog again"]
+
+
+def _levenshtein_dp(a, b) -> int:
+    """O(n·m) Wagner-Fischer table: the oracle for the bit-parallel kernel."""
+    a, b = list(a), list(b)
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        cur = [i]
+        for j, y in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
+        prev = cur
+    return prev[-1]
 
 
 class TestBleu:
@@ -184,6 +198,29 @@ class TestTer:
         with pytest.raises(MetricError):
             ter(["a"], [""])
 
+    def test_empty_reference_names_its_line(self):
+        with pytest.raises(MetricError, match="^line 2: TER needs") as info:
+            ter(["a", "b", "c"], ["a", " ", "c"])
+        assert info.value.line == 2
+        assert info.value.reason == "TER needs a non-empty reference sentence"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.integers(0, k - 1).map(str), max_size=12),
+                st.lists(st.integers(0, k - 1).map(str), min_size=1, max_size=12),
+            )
+        )
+    )
+    def test_edits_unchanged_under_dp_oracle(self, pair):
+        # small vocabularies repeat words, so many shift candidates are scored
+        hyp, ref = pair
+        edits = ter_sentence_edits(hyp, ref)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("natkit.metrics.levenshtein", _levenshtein_dp)
+            assert ter_sentence_edits(hyp, ref) == edits
+
     def test_case_sensitive(self):
         assert ter(["A b"], ["a b"]).value == pytest.approx(50.0)
 
@@ -223,6 +260,23 @@ class TestLevenshtein:
         assert levenshtein(a, b) == levenshtein(b, a)
         assert (levenshtein(a, b) == 0) == (a == b)
         assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.integers(0, k - 1), max_size=90),
+                st.lists(st.integers(0, k - 1), max_size=90),
+            )
+        )
+    )
+    def test_matches_dp_oracle(self, pair):
+        # lengths past 64 cross a machine word; strings and tuples of ints too
+        a, b = pair
+        assert levenshtein(a, b) == _levenshtein_dp(a, b)
+        assert levenshtein(tuple(a), tuple(b)) == _levenshtein_dp(a, b)
+        sa, sb = "".join("abcd"[i] for i in a), "".join("abcd"[i] for i in b)
+        assert levenshtein(sa, sb) == _levenshtein_dp(sa, sb)
 
 
 class TestBucketedBleu:
