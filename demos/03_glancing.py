@@ -43,7 +43,7 @@ def main():
     probs = np.random.default_rng(1).uniform(0.1, 1.0, size=(7, 13))
     probs /= probs.sum(axis=1, keepdims=True)
     table = np.log(probs)
-    mask, aligned = glance_inputs_ctc((7, 8, 9), table, sched.at(400), rng)
+    mask, aligned = glance_inputs_ctc((7, 8, 9), table, sched.at(400).value(), rng)
     print(f"viterbi-aligned target over {len(aligned)} table positions: {aligned}")
     print(f"reveals drawn from it: positions {mask.positions}, tokens {mask.revealed}")
     print()

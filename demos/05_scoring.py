@@ -54,7 +54,7 @@ def main():
         print()
 
     res = paired_bootstrap(
-        SystemRun("rough", tuple(ROUGH), role="base"),
+        SystemRun("rough", tuple(ROUGH)),
         SystemRun("good", tuple(GOOD)),
         REFS,
         n_resamples=2000,

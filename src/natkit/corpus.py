@@ -44,7 +44,8 @@ class Vocabulary:
     """Bidirectional token <-> id map with reserved special tokens.
 
     ``tokens[i]`` is the surface form of id ``i``; ids are dense. Construct
-    via :func:`build_vocab`, :meth:`Vocabulary.from_tokens` or :func:`load_vocab`.
+    via :func:`build_vocab` or :meth:`Vocabulary.from_tokens`; checkpoints
+    store the token list in their header.
     """
 
     tokens: tuple[str, ...]
@@ -275,18 +276,6 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write sentences one per line, LF terminated."""
     body = "".join(f"{line}\n" for line in lines)
     Path(path).write_text(body, encoding="utf-8")
-
-
-def save_vocab(path: str | Path, vocab: Vocabulary) -> None:
-    """One token per line, line number = id."""
-    write_lines(path, vocab.tokens)
-
-
-def load_vocab(path: str | Path, specials: Sequence[str] = SPECIALS) -> Vocabulary:
-    lines = read_lines(path)
-    if len(lines) < len(tuple(specials)):
-        raise CorpusError(f"vocab file {path} is shorter than the special list")
-    return Vocabulary(tokens=tuple(lines), specials=tuple(specials))
 
 
 def detokenize(vocab: Vocabulary, ids: Iterable[int]) -> str:

@@ -1,17 +1,18 @@
-"""Alignment-lattice kernels: collapse, marginal, gradient, Viterbi, decode.
+"""Alignment-lattice kernels: collapse, marginal, gradient, Viterbi.
 
 An alignment of length T for a target of length I is a string over the
 vocabulary plus a blank symbol that reduces to the target under
 :func:`collapse` (merge adjacent repeats, then delete blanks). The marginal
 probability of a target sums the probabilities of all of its alignments; the
 classic lattice over ``2I + 1`` blank-interleaved states computes it in
-``O(T * I)``. Everything here works on log-probability tables of shape
-``(T, V)`` and stays in log space.
+``O(T * I)``. One alpha recursion serves the marginal and the loss, one beta
+recursion the posteriors, and Viterbi is the same lattice in max-plus form,
+vectorized over states. Everything here works on log-probability arrays of
+shape ``(T, V)`` and stays in log space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,40 +24,6 @@ NEG_INF = float("-inf")
 
 class InfeasibleTargetError(ValueError):
     """Target admits no alignment at the requested length."""
-
-
-@dataclass(frozen=True)
-class LogProbTable:
-    """Validated per-position log-distributions, shape (length, vocab).
-
-    Rows must be normalized: logsumexp of each row is 0 within 1e-9. The
-    kernels below accept raw arrays too; this wrapper is the checked container
-    for anything that crosses a module boundary.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 2:
-            raise ValueError(f"expected a (length, vocab>=2) table, got shape {v.shape}")
-        row_lse = logsumexp(v, axis=1)
-        if not np.all(np.abs(row_lse) <= 1e-9):
-            worst = float(np.max(np.abs(row_lse)))
-            raise ValueError(f"rows are not log-normalized (max |logsumexp| = {worst:.3e})")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_logits(cls, logits: np.ndarray) -> "LogProbTable":
-        return cls(log_softmax(np.asarray(logits, dtype=np.float64)))
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.values.shape[1]
 
 
 def logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -103,15 +70,6 @@ def min_alignment_len(target: Sequence[int]) -> int:
     return len(target) + extra
 
 
-def upsample_len(source_len: int, factor: int = 2) -> int:
-    """Alignment length as an integer multiple of the source length."""
-    if source_len < 1:
-        raise ValueError(f"source length must be >= 1, got {source_len}")
-    if int(factor) != factor or factor < 1:
-        raise ValueError(f"upsampling factor must be a positive integer, got {factor!r}")
-    return int(source_len) * int(factor)
-
-
 def _check_target(target: Sequence[int], blank: int) -> tuple[int, ...]:
     target = tuple(int(t) for t in target)
     if blank in target:
@@ -120,193 +78,85 @@ def _check_target(target: Sequence[int], blank: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force enumeration (oracle-grade, structure only)
+# The lattice
 # ---------------------------------------------------------------------------
 
-def enumerate_alignments(
-    target: Sequence[int],
-    length: int,
-    vocab_size: int,
-    blank: int = BLANK_ID,
-) -> list[tuple[int, ...]]:
-    """All alignments of ``length`` that collapse to ``target``, exhaustively.
-
-    Guarded to small instances (length <= 12, vocab_size <= 6); the recursion
-    walks every string that can still reach the target, so the result is the
-    exact preimage set of :func:`collapse` restricted to the given length.
-    Returned in lexicographic-free construction order, no duplicates.
-    """
-    if length > 12 or vocab_size > 6:
-        raise ValueError(
-            f"enumeration is limited to length <= 12 and vocab <= 6, "
-            f"got length={length}, vocab={vocab_size}"
-        )
-    target = _check_target(target, blank)
-    for t in target:
-        if not (0 <= t < vocab_size):
-            raise ValueError(f"target id {t} outside vocab of size {vocab_size}")
-    if not (0 <= blank < vocab_size):
-        raise ValueError(f"blank id {blank} outside vocab of size {vocab_size}")
-
-    results: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def min_needed(k: int, prev: int | None) -> int:
-        # positions still required to emit target[k:], given last symbol prev
-        rest = len(target) - k
-        if rest == 0:
-            return 0
-        need = rest
-        if target[k] == prev:
-            need += 1
-        need += sum(1 for i in range(k + 1, len(target)) if target[i] == target[i - 1])
-        return need
-
-    def extend(k: int, prev: int | None) -> None:
-        if len(prefix) == length:
-            if k == len(target):
-                results.append(tuple(prefix))
-            return
-        if min_needed(k, prev) > length - len(prefix):
-            return
-        # blank keeps the collapsed prefix
-        prefix.append(blank)
-        extend(k, blank)
-        prefix.pop()
-        # repeating the previous non-blank symbol merges away
-        if prev is not None and prev != blank:
-            prefix.append(prev)
-            extend(k, prev)
-            prefix.pop()
-        # emitting the next target token advances, unless it would merge
-        if k < len(target) and target[k] != prev:
-            prefix.append(target[k])
-            extend(k + 1, target[k])
-            prefix.pop()
-
-    extend(0, None)
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Lattice recursions
-# ---------------------------------------------------------------------------
-
-def _extended_labels(target: tuple[int, ...], blank: int) -> np.ndarray:
+def _lattice(values: np.ndarray, target: tuple[int, ...], blank: int):
+    """Emission scores per extended state (T, S), the extended labels, and the
+    label states a skip from ``s - 2`` may enter (labels differ)."""
     ext = np.full(2 * len(target) + 1, blank, dtype=np.int64)
     ext[1::2] = target
-    return ext
+    skips = 3 + 2 * np.nonzero(ext[3::2] != ext[1:-2:2])[0]
+    return values[:, ext], ext, skips
 
 
-def _skip_allowed(ext: np.ndarray) -> np.ndarray:
-    """skip_ok[s]: transition s-2 -> s permitted (label state, labels differ)."""
-    S = len(ext)
-    ok = np.zeros(S, dtype=bool)
-    for s in range(2, S):
-        if s % 2 == 1 and ext[s] != ext[s - 2]:
-            ok[s] = True
-    return ok
+def _infeasible(target: tuple[int, ...], length: int) -> InfeasibleTargetError:
+    return InfeasibleTargetError(
+        f"target of length {len(target)} (min alignment {min_alignment_len(target)}) "
+        f"is infeasible at table length {length}"
+    )
 
 
-def _as_values(table: LogProbTable | np.ndarray) -> np.ndarray:
-    if isinstance(table, LogProbTable):
-        return table.values
-    return np.asarray(table, dtype=np.float64)
+def _forward(emit: np.ndarray, skips: np.ndarray) -> tuple[np.ndarray, float]:
+    """Alpha table, each entry including the emission at its own step, and
+    the log marginal over the two final states."""
+    T, S = emit.shape
+    alpha = np.full((T, S), NEG_INF)
+    alpha[0, :2] = emit[0, :2]
+    # a state with no advance or skip predecessor keeps its stay term alone,
+    # exactly as logaddexp(x, -inf) == x would give
+    for j in range(1, T):
+        prev, cur = alpha[j - 1], alpha[j]
+        cur[0] = prev[0]
+        cur[1:] = np.logaddexp(prev[1:], prev[:-1])
+        cur[skips] = np.logaddexp(cur[skips], prev[skips - 2])
+        cur += emit[j]
+    total = alpha[T - 1, 0] if S == 1 else logsumexp(alpha[T - 1, -2:])
+    return alpha, float(total)
 
 
-def _shifted(vec: np.ndarray, by: int) -> np.ndarray:
-    """Shift right by ``by`` positions, filling with -inf; length preserved."""
-    out = np.full_like(vec, NEG_INF)
-    if by < len(vec):
-        out[by:] = vec[: len(vec) - by]
-    return out
+def _backward(emit: np.ndarray, skips: np.ndarray) -> np.ndarray:
+    """Beta table: log mass of completing the lattice over strictly later steps."""
+    T, S = emit.shape
+    beta = np.full((T, S), NEG_INF)
+    beta[T - 1, -2:] = 0.0
+    for j in range(T - 2, -1, -1):
+        nxt, cur = emit[j + 1] + beta[j + 1], beta[j]
+        cur[-1] = nxt[-1]
+        cur[:-1] = np.logaddexp(nxt[:-1], nxt[1:])
+        cur[skips - 2] = np.logaddexp(cur[skips - 2], nxt[skips])
+    return beta
 
 
-def ctc_forward(table: LogProbTable | np.ndarray, target: Sequence[int], blank: int = BLANK_ID) -> float:
+def ctc_forward(table: np.ndarray, target: Sequence[int], blank: int = BLANK_ID) -> float:
     """Log marginal probability of ``target`` under the table.
 
     Sums over every alignment via the blank-interleaved lattice. Returns
     ``-inf`` when the target is infeasible at the table's length.
     """
-    values = _as_values(table)
-    target = _check_target(target, blank)
-    T = values.shape[0]
-    ext = _extended_labels(target, blank)
-    S = len(ext)
-    skip_ok = _skip_allowed(ext)
-    emit = values[:, ext]  # (T, S) emission scores per extended state
-
-    alpha = np.full(S, NEG_INF)
-    alpha[0] = emit[0, 0]
-    if S > 1:
-        alpha[1] = emit[0, 1]
-    for j in range(1, T):
-        alpha = emit[j] + np.logaddexp(np.logaddexp(alpha, _shifted(alpha, 1)), np.where(skip_ok, _shifted(alpha, 2), NEG_INF))
-    tail = alpha[-1] if S == 1 else logsumexp(alpha[-2:])
-    return float(tail)
+    emit, _, skips = _lattice(np.asarray(table, dtype=np.float64), _check_target(target, blank), blank)
+    return _forward(emit, skips)[1]
 
 
-def _forward_backward(values: np.ndarray, target: tuple[int, ...], blank: int):
-    """Full alpha/beta tables over the extended lattice; alphas include the
-    emission at their own step, betas cover strictly later steps."""
-    T = values.shape[0]
-    ext = _extended_labels(target, blank)
-    S = len(ext)
-    skip_ok = _skip_allowed(ext)
-    emit = values[:, ext]
-
-    alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = emit[0, 0]
-    if S > 1:
-        alpha[0, 1] = emit[0, 1]
-    for j in range(1, T):
-        prev = alpha[j - 1]
-        alpha[j] = emit[j] + np.logaddexp(
-            np.logaddexp(prev, _shifted(prev, 1)), np.where(skip_ok, _shifted(prev, 2), NEG_INF)
-        )
-
-    beta = np.full((T, S), NEG_INF)
-    beta[T - 1, S - 1] = 0.0
-    if S > 1:
-        beta[T - 1, S - 2] = 0.0
-    # skip transition s -> s+2 exists iff skip into s+2 is allowed
-    skip_out = np.zeros(S, dtype=bool)
-    if S > 2:
-        skip_out[: S - 2] = skip_ok[2:]
-    for j in range(T - 2, -1, -1):
-        nxt = emit[j + 1] + beta[j + 1]
-        advance = np.full(S, NEG_INF)
-        advance[: S - 1] = nxt[1:]
-        skip = np.full(S, NEG_INF)
-        if S > 2:
-            skip[: S - 2] = nxt[2:]
-        skip = np.where(skip_out, skip, NEG_INF)
-        beta[j] = np.logaddexp(np.logaddexp(nxt, advance), skip)
-
-    total = alpha[T - 1, S - 1] if S == 1 else logsumexp(alpha[T - 1, -2:])
-    return alpha, beta, ext, float(total)
-
-
-def ctc_posteriors(table: LogProbTable | np.ndarray, target: Sequence[int], blank: int = BLANK_ID) -> np.ndarray:
-    """Per-position symbol occupancy, shape (T, V); each row sums to 1."""
-    values = _as_values(table)
-    target = _check_target(target, blank)
-    alpha, beta, ext, total = _forward_backward(values, target, blank)
+def _posteriors(values: np.ndarray, target: tuple[int, ...], blank: int) -> tuple[np.ndarray, float]:
+    """Occupancy posterior (T, V) and the log marginal, from one forward-backward."""
+    emit, ext, skips = _lattice(values, target, blank)
+    alpha, total = _forward(emit, skips)
     # -inf means no lattice path exists; NaN (poisoned scores) flows through
     if np.isneginf(total):
-        raise InfeasibleTargetError(
-            f"target of length {len(target)} (min alignment {min_alignment_len(target)}) "
-            f"is infeasible at table length {values.shape[0]}"
-        )
-    T, V = values.shape
-    state_post = np.exp(alpha + beta - total)  # (T, S)
-    post = np.zeros((T, V))
-    for s, v in enumerate(ext):
-        post[:, v] += state_post[:, s]
-    return post
+        raise _infeasible(target, values.shape[0])
+    state_post = np.exp(alpha + _backward(emit, skips) - total)  # (T, S)
+    post = np.zeros(values.shape)
+    np.add.at(post, (slice(None), ext), state_post)
+    return post, total
 
 
-def ctc_grad(table: LogProbTable | np.ndarray, target: Sequence[int], blank: int = BLANK_ID) -> np.ndarray:
+def ctc_posteriors(table: np.ndarray, target: Sequence[int], blank: int = BLANK_ID) -> np.ndarray:
+    """Per-position symbol occupancy, shape (T, V); each row sums to 1."""
+    return _posteriors(np.asarray(table, dtype=np.float64), _check_target(target, blank), blank)[0]
+
+
+def ctc_grad(table: np.ndarray, target: Sequence[int], blank: int = BLANK_ID) -> np.ndarray:
     """Gradient of the negative log marginal w.r.t. the table entries.
 
     Entries are treated as free log-probability variables, so the gradient is
@@ -321,87 +171,53 @@ def ctc_loss_logits(logits: np.ndarray, target: Sequence[int], blank: int = BLAN
     Chains the free-variable gradient through the row softmax, which gives the
     classic form ``softmax(logits) - posterior``.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    table = log_softmax(logits)
-    target = _check_target(target, blank)
-    loss = -ctc_forward(table, target, blank)
-    post = ctc_posteriors(table, target, blank)
-    probs = np.exp(table)
-    return float(loss), probs - post
+    table = log_softmax(np.asarray(logits, dtype=np.float64))
+    post, total = _posteriors(table, _check_target(target, blank), blank)
+    return -total, np.exp(table) - post
 
 
-def viterbi_align(
-    table: LogProbTable | np.ndarray,
-    target: Sequence[int],
-    blank: int = BLANK_ID,
-) -> tuple[tuple[int, ...], float]:
+def viterbi_align(table: np.ndarray, target: Sequence[int], blank: int = BLANK_ID) -> tuple[tuple[int, ...], float]:
     """Most probable single alignment and its log probability.
 
     Score ties break toward emitting labels at earlier positions, realized as
     a preference for the most advanced lattice state (largest extended-state
     index) both when choosing predecessors and at the final step.
     """
-    values = _as_values(table)
+    values = np.asarray(table, dtype=np.float64)
     if np.isnan(values).any():
         raise ValueError("alignment table contains NaN scores")
     target = _check_target(target, blank)
-    T = values.shape[0]
-    ext = _extended_labels(target, blank)
-    S = len(ext)
-    skip_ok = _skip_allowed(ext)
-    emit = values[:, ext]
-
+    emit, ext, skips = _lattice(values, target, blank)
+    T, S = emit.shape
+    states = np.arange(S)
+    # predecessor candidates, stay (s), advance (s-1), skip (s-2): argmax takes
+    # the first maximum, so a tie goes to the larger predecessor index
+    cand = np.full((3, S), NEG_INF)
     score = np.full(S, NEG_INF)
-    score[0] = emit[0, 0]
-    if S > 1:
-        score[1] = emit[0, 1]
+    score[:2] = emit[0, :2]
     back = np.zeros((T, S), dtype=np.int64)
-    back[0] = np.arange(S)
     for j in range(1, T):
-        new = np.full(S, NEG_INF)
-        for s in range(S):
-            cands = [(score[s], s)]
-            if s >= 1:
-                cands.append((score[s - 1], s - 1))
-            if s >= 2 and skip_ok[s]:
-                cands.append((score[s - 2], s - 2))
-            # max score; on ties prefer the larger predecessor index
-            best_sc, best_p = cands[0]
-            for sc, p in cands[1:]:
-                if sc > best_sc or (sc == best_sc and p > best_p):
-                    best_sc, best_p = sc, p
-            new[s] = emit[j, s] + best_sc
-            back[j, s] = best_p
-        score = new
+        cand[0] = score
+        cand[1, 1:] = score[:-1]
+        cand[2, skips] = score[skips - 2]
+        best = np.argmax(cand, axis=0)
+        score = emit[j] + cand[best, states]
+        back[j] = states - best
 
-    finals = [S - 1] if S == 1 else [S - 1, S - 2]
-    best_sc, best_s = NEG_INF, finals[0]
-    for s in finals:
-        if score[s] > best_sc or (score[s] == best_sc and s > best_s):
-            best_sc, best_s = score[s], s
-    if np.isneginf(best_sc):
-        raise InfeasibleTargetError(
-            f"target of length {len(target)} (min alignment {min_alignment_len(target)}) "
-            f"is infeasible at table length {T}"
-        )
-
-    states = [best_s]
+    s = S - 1 if S == 1 or score[-1] >= score[-2] else S - 2
+    if np.isneginf(score[s]):
+        raise _infeasible(target, T)
+    best_score = float(score[s])
+    path = [s]
     for j in range(T - 1, 0, -1):
-        states.append(int(back[j, states[-1]]))
-    states.reverse()
-    alignment = tuple(int(ext[s]) for s in states)
-    return alignment, float(best_sc)
+        s = int(back[j, s])
+        path.append(s)
+    return tuple(ext[path[::-1]].tolist()), best_score
 
 
-def greedy_decode(table: LogProbTable | np.ndarray, blank: int = BLANK_ID) -> tuple[int, ...]:
-    """Position-wise argmax followed by collapse."""
-    values = _as_values(table)
-    return collapse(np.argmax(values, axis=1), blank)
-
-
-def alignment_log_prob(table: LogProbTable | np.ndarray, alignment: Sequence[int]) -> float:
+def alignment_log_prob(table: np.ndarray, alignment: Sequence[int]) -> float:
     """Log probability of one explicit alignment path."""
-    values = _as_values(table)
+    values = np.asarray(table, dtype=np.float64)
     if len(alignment) != values.shape[0]:
         raise ValueError(f"alignment length {len(alignment)} != table length {values.shape[0]}")
     return float(sum(values[j, int(a)] for j, a in enumerate(alignment)))

@@ -2,9 +2,11 @@
 
 The schedule interpolates the sampling ratio linearly from ``lambda_start``
 down by ``lambda_slope`` over training: lambda(u) = start - slope * u / U,
-clamped at u = U. The number of revealed positions is floor(lambda * d) where
-d is the Hamming distance between the (aligned) target and the first-pass
-prediction; the revealed subset is drawn uniformly without replacement.
+clamped at u = U; ``GlanceSchedule.at(u).value()`` reads it, and the glance
+functions take that float. The number of revealed positions is
+floor(lambda * d) where d is the Hamming distance between the (aligned)
+target and the first-pass prediction; the revealed subset is drawn
+uniformly without replacement.
 
 For alignment-based models the comparison happens in alignment space: the
 target is first aligned by Viterbi, the prediction is the raw per-position
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from natkit.corpus import BLANK_ID
-from natkit.ctc import LogProbTable, _as_values, viterbi_align
+from natkit.ctc import viterbi_align
 
 
 def _rng(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
@@ -58,22 +60,10 @@ class GlanceSchedule:
         return replace(self, step=step)
 
 
-def lambda_at(sched: GlanceSchedule) -> float:
-    """Current sampling ratio of the schedule."""
-    return sched.value()
-
-
-def hamming(a: Sequence[int], b: Sequence[int], strict: bool = True) -> int:
-    """Positions where the sequences disagree.
-
-    In strict mode unequal lengths are an error; otherwise the overlap is
-    compared and the length difference counts as all-mismatch.
-    """
+def hamming(a: Sequence[int], b: Sequence[int]) -> int:
+    """Positions where two sequences of equal length disagree."""
     if len(a) != len(b):
-        if strict:
-            raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-        n = min(len(a), len(b))
-        return sum(1 for x, y in zip(a[:n], b[:n]) if x != y) + abs(len(a) - len(b))
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return sum(1 for x, y in zip(a, b) if x != y)
 
 
@@ -81,7 +71,7 @@ def glance_count(target: Sequence[int], pred: Sequence[int], lam: float) -> int:
     """floor(lambda * hamming(target, pred)), capped at the target length."""
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    d = hamming(target, pred, strict=True)
+    d = hamming(target, pred)
     return min(int(math.floor(lam * d)), len(target))
 
 
@@ -117,8 +107,8 @@ def sample_glance(target: Sequence[int], s: int, rng: int | np.random.Generator)
 
 def glance_inputs_ctc(
     target: Sequence[int],
-    table: LogProbTable | np.ndarray,
-    sched: GlanceSchedule | float,
+    table: np.ndarray,
+    lam: float,
     rng: int | np.random.Generator,
     blank: int = BLANK_ID,
 ) -> tuple[GlanceMask, tuple[int, ...]]:
@@ -127,9 +117,7 @@ def glance_inputs_ctc(
     Returns the sampled mask (positions over the alignment length) and the
     Viterbi-aligned target the reveals are drawn from.
     """
-    values = _as_values(table)
-    aligned, _ = viterbi_align(values, target, blank)
-    pred = tuple(int(v) for v in np.argmax(values, axis=1))
-    lam = sched.value() if isinstance(sched, GlanceSchedule) else float(sched)
+    aligned, _ = viterbi_align(table, target, blank)
+    pred = tuple(int(v) for v in np.argmax(table, axis=1))
     s = glance_count(aligned, pred, lam)
     return sample_glance(aligned, s, rng), aligned

@@ -35,12 +35,9 @@ class SystemRun:
 
     system: str
     hypotheses: tuple[str, ...]
-    role: str = "candidate"
 
     def __post_init__(self):
         object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
-        if self.role not in ("base", "candidate"):
-            raise SignificanceError(f"unknown role: {self.role!r}")
 
 
 @dataclass(frozen=True)
@@ -177,8 +174,7 @@ def mark_table(
                 raise SignificanceError(
                     f"corpus sizes differ: {run.system!r} {len(run.hypotheses)}, refs {len(refs)}"
                 )
-            by_label[run.system] = _ScoredRun(run.system, run.hypotheses, run.role,
-                                              _score(run, refs, metric))
+            by_label[run.system] = _ScoredRun(run.system, run.hypotheses, _score(run, refs, metric))
 
         for i, run in enumerate(block):
             if i == 0:

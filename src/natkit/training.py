@@ -24,7 +24,7 @@ import numpy as np
 
 from natkit.corpus import BOS_ID, EOS_ID, ParallelCorpus, TokenSeq
 from natkit.ctc import log_softmax, min_alignment_len
-from natkit.glancing import GlanceSchedule, glance_inputs_ctc, hamming, sample_glance
+from natkit.glancing import GlanceSchedule, glance_count, glance_inputs_ctc, sample_glance
 from natkit.model import (
     LayerStates,
     ModelConfig,
@@ -135,70 +135,50 @@ def _sentence_pass(
     rng: np.random.Generator,
     train: bool,
 ):
-    """Loss and parameter gradients for one pair; None when skipped."""
+    """Loss and parameter gradients for one pair; None when skipped.
+
+    A pair is skipped when its source or its decoder length exceeds
+    ``max_len``, when CTC cannot align the target at the decoder length, or
+    when a length-mode target is empty.
+    """
     J, I = len(src), len(tgt)
-    components: dict[str, float] = {}
+    mode = config.mode
+    # per mode: decoder length, labels, teacher-forced inputs, loss base
+    if mode == "at":
+        T, labels, prev, base = I + 1, tgt.ids + (EOS_ID,), (BOS_ID,) + tgt.ids, "nat"
+    elif mode == "ctc":
+        T, labels, prev, base = J * int(config.upsample), tgt.ids, None, "ctc"
+    else:
+        T, labels, prev, base = I, tgt.ids, None, "nat"
+    if max(J, T) > config.max_len or T < 1 or (base == "ctc" and min_alignment_len(labels) > T):
+        return None
 
-    if config.mode == "at":
-        prev = (BOS_ID,) + tgt.ids
-        labels = np.asarray(tgt.ids + (EOS_ID,), dtype=np.int64)
-        states = forward(params, config, src.ids, len(prev), prev_ids=prev,
-                         train=train, rng=rng)
-        if config.deep_supervision:
-            val, dlogits = loss_deep_supervision(states, labels, base="nat")
-        else:
-            val, dl = loss_nat(states, labels)
-            dlogits = _only_last(states, dl)
-        components["token"] = val
-        grads = backward(params, states, dlogits) if train else None
-        return val, grads, components
-
-    if config.mode == "ctc":
-        T = J * int(config.upsample)
-        if min_alignment_len(tgt.ids) > T or T > config.max_len:
-            return None
-        glance = None
-        if lam is not None and lam > 0.0:
-            first = forward(params, config, src.ids, T, train=False)
+    glance = None
+    if lam is not None and lam > 0.0 and mode != "at":
+        last = forward(params, config, src.ids, T, train=False).logits[-1]
+        if mode == "length":
+            pred = tuple(int(v) for v in np.argmax(last, axis=1))
+            glance = sample_glance(labels, glance_count(labels, pred, lam), rng)
+        elif np.all(np.isfinite(last)):
             # poisoned logits cannot be aligned; let the training pass go
             # through unglanced so its non-finite loss reports the divergence
-            if np.all(np.isfinite(first.logits[-1])):
-                table = log_softmax(first.logits[-1])
-                glance, _ = glance_inputs_ctc(tgt.ids, table, lam, rng)
-        states = forward(params, config, src.ids, T, glance=glance, train=train, rng=rng)
-        if config.deep_supervision:
-            val, dlogits = loss_deep_supervision(states, tgt.ids, base="ctc")
-        else:
-            val, dl = loss_ctc(states, tgt.ids)
-            dlogits = _only_last(states, dl)
-        components["token"] = val
-        grads = backward(params, states, dlogits) if train else None
-        return val, grads, components
-
-    # length mode: parallel decoding across the true target length
-    if I > config.max_len or I < 1:
-        return None
-    glance = None
-    if lam is not None and lam > 0.0:
-        first = forward(params, config, src.ids, I, train=False)
-        pred = tuple(int(v) for v in np.argmax(first.logits[-1], axis=1))
-        d = hamming(tgt.ids, pred)
-        s = min(int(math.floor(lam * d)), I)
-        glance = sample_glance(tgt.ids, s, rng)
-    states = forward(params, config, src.ids, I, glance=glance, train=train, rng=rng)
+            glance, _ = glance_inputs_ctc(labels, log_softmax(last), lam, rng)
+    states = forward(params, config, src.ids, T, prev_ids=prev, glance=glance, train=train, rng=rng)
+    # CTC keeps the full marginal; position-wise losses skip revealed positions
     if config.deep_supervision:
-        token_val, dlogits = loss_deep_supervision(states, tgt.ids, base="nat", mask=glance)
+        val, dlogits = loss_deep_supervision(states, labels, base=base, mask=glance)
     else:
-        token_val, dl = loss_nat(states, tgt.ids, mask=glance)
+        val, dl = loss_ctc(states, labels) if base == "ctc" else loss_nat(states, labels, mask=glance)
         dlogits = _only_last(states, dl)
-    len_val, dlen = loss_length(states, config, J, I)
-    components["token"] = token_val
-    components["length"] = len_val
-    components["length_clamped"] = 1.0 if length_class_clamped(config, J, I) else 0.0
-    val = token_val + hyper.length_loss_weight * len_val
-    grads = None
-    if train:
-        grads = backward(params, states, dlogits, dlength=hyper.length_loss_weight * dlen)
+    components = {"token": val}
+    dlength = None
+    if mode == "length":
+        len_val, dlen = loss_length(states, config, J, I)
+        components["length"] = len_val
+        components["length_clamped"] = 1.0 if length_class_clamped(config, J, I) else 0.0
+        val = val + hyper.length_loss_weight * len_val
+        dlength = hyper.length_loss_weight * dlen
+    grads = backward(params, states, dlogits, dlength=dlength) if train else None
     return val, grads, components
 
 

@@ -15,10 +15,8 @@ from natkit.corpus import (
     Vocabulary,
     build_vocab,
     detokenize,
-    load_vocab,
     read_lines,
     read_parallel,
-    save_vocab,
     synth_task,
     synth_vocab,
     tokenize_13a,
@@ -195,12 +193,6 @@ class TestFiles:
         write_lines(p, ["a b", "c"])
         assert p.read_bytes() == b"a b\nc\n"
         assert read_lines(p) == ["a b", "c"]
-
-    def test_vocab_roundtrip(self, tmp_path):
-        v = build_vocab([["dog", "cat", "dog"]])
-        p = tmp_path / "vocab.txt"
-        save_vocab(p, v)
-        assert load_vocab(p) == v
 
     def test_parallel_roundtrip(self, tmp_path):
         v = synth_vocab(8)

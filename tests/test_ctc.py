@@ -7,18 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from natkit.ctc import (
     InfeasibleTargetError,
-    LogProbTable,
     alignment_log_prob,
     collapse,
     ctc_forward,
     ctc_grad,
     ctc_loss_logits,
     ctc_posteriors,
-    enumerate_alignments,
-    greedy_decode,
     log_softmax,
     min_alignment_len,
-    upsample_len,
     viterbi_align,
 )
 
@@ -52,6 +48,59 @@ def random_table(rng, length, vocab):
     return log_softmax(rng.normal(0.0, 1.5, size=(length, vocab)))
 
 
+def _viterbi_loop(values, target, blank):
+    """Per-state Viterbi over the blank-interleaved lattice, one candidate list
+    per state: the oracle for the vectorized kernel's alignment, score and
+    tie-break (largest predecessor index, then the last state)."""
+    T = values.shape[0]
+    ext = [blank]
+    for t in target:
+        ext += [t, blank]
+    S = len(ext)
+    score = [float("-inf")] * S
+    score[0] = values[0, ext[0]]
+    if S > 1:
+        score[1] = values[0, ext[1]]
+    back = [[0] * S for _ in range(T)]
+    for j in range(1, T):
+        new = [float("-inf")] * S
+        for s in range(S):
+            cands = [(score[s], s)]
+            if s >= 1:
+                cands.append((score[s - 1], s - 1))
+            if s >= 2 and s % 2 == 1 and ext[s] != ext[s - 2]:
+                cands.append((score[s - 2], s - 2))
+            best_sc, best_p = cands[0]
+            for sc, p in cands[1:]:
+                if sc > best_sc or (sc == best_sc and p > best_p):
+                    best_sc, best_p = sc, p
+            new[s] = values[j, ext[s]] + best_sc
+            back[j][s] = best_p
+        score = new
+    best_s = S - 1
+    if S > 1 and score[S - 2] > score[S - 1]:
+        best_s = S - 2
+    if score[best_s] == float("-inf"):
+        raise InfeasibleTargetError("no alignment")
+    states = [best_s]
+    for j in range(T - 1, 0, -1):
+        states.append(back[j][states[-1]])
+    return tuple(int(ext[s]) for s in reversed(states)), float(score[best_s])
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """Tables over {log 1/4, log 1/2, -inf}, so score ties are dense."""
+    length = draw(st.integers(1, 14))
+    vocab = draw(st.integers(2, 5))
+    blank = draw(st.integers(0, vocab - 1))
+    cells = draw(st.lists(st.sampled_from((math.log(0.25), math.log(0.5), float("-inf"))),
+                          min_size=length * vocab, max_size=length * vocab))
+    symbols = [v for v in range(vocab) if v != blank]
+    target = draw(st.lists(st.sampled_from(symbols), max_size=8))
+    return np.array(cells).reshape(length, vocab), tuple(target), blank
+
+
 class TestCollapse:
     def test_blank_separated_and_merged_repeats(self):
         a, b, blank = 0, 2, 1
@@ -81,48 +130,6 @@ class TestCollapse:
         assert min_alignment_len([7]) == 1
         assert min_alignment_len([7, 7]) == 3
         assert min_alignment_len([7, 8, 8, 8]) == 6
-
-    def test_upsample_len(self):
-        assert upsample_len(5) == 10
-        assert upsample_len(3, 3) == 9
-        with pytest.raises(ValueError):
-            upsample_len(0)
-        with pytest.raises(ValueError):
-            upsample_len(4, 0)
-
-
-class TestEnumerate:
-    def test_single_token_length_two(self):
-        a, blank = 0, 1
-        got = set(enumerate_alignments([a], 2, vocab_size=2, blank=blank))
-        assert got == {(a, blank), (blank, a), (a, a)}
-
-    def test_matches_full_product_enumeration(self):
-        rng = np.random.default_rng(1)
-        for _ in range(60):
-            vocab = int(rng.integers(2, 5))
-            blank = int(rng.integers(0, vocab))
-            length = int(rng.integers(1, 6))
-            tgt_len = int(rng.integers(0, length + 1))
-            symbols = [s for s in range(vocab) if s != blank]
-            target = tuple(int(rng.integers(0, len(symbols))) for _ in range(tgt_len))
-            target = tuple(symbols[t] for t in target)
-            got = set(enumerate_alignments(target, length, vocab, blank))
-            want = product_alignments(target, length, vocab, blank)
-            assert got == want
-
-    def test_no_duplicates(self):
-        out = enumerate_alignments([2, 3, 2], 6, vocab_size=4, blank=1)
-        assert len(out) == len(set(out))
-
-    def test_infeasible_target_has_no_alignments(self):
-        assert enumerate_alignments([2, 2], 2, vocab_size=3, blank=1) == []
-
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            enumerate_alignments([0], 13, vocab_size=2, blank=1)
-        with pytest.raises(ValueError):
-            enumerate_alignments([0], 4, vocab_size=7, blank=1)
 
 
 class TestForward:
@@ -236,6 +243,19 @@ class TestGrad:
                     fd = (ctc_loss_logits(up, target, blank=1)[0] - ctc_loss_logits(dn, target, blank=1)[0]) / (2 * h)
                     assert abs(fd - g[j, v]) <= 1e-4 * max(1.0, abs(g[j, v]))
 
+    def test_loss_is_exactly_minus_public_marginal(self):
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            length = int(rng.integers(1, 9))
+            vocab = int(rng.integers(2, 6))
+            blank = int(rng.integers(0, vocab))
+            symbols = [s for s in range(vocab) if s != blank]
+            target = tuple(int(rng.choice(symbols)) for _ in range(int(rng.integers(0, 5))))
+            if min_alignment_len(target) > length:
+                continue
+            logits = rng.normal(0, 2, size=(length, vocab))
+            loss, _ = ctc_loss_logits(logits, target, blank=blank)
+            assert loss == -ctc_forward(log_softmax(logits), target, blank=blank)
 
 class TestViterbi:
     def test_hand_example_prefers_early_emission_mass(self):
@@ -296,45 +316,19 @@ class TestViterbi:
             viterbi_align(table, [0, 2], blank=1)
 
 
-class TestGreedyDecode:
-    def test_argmax_then_collapse(self):
-        table = np.log(
-            np.array(
-                [
-                    [0.6, 0.2, 0.2],  # 0
-                    [0.5, 0.3, 0.2],  # 0 (repeat merges)
-                    [0.1, 0.8, 0.1],  # blank
-                    [0.2, 0.2, 0.6],  # 2
-                    [0.2, 0.2, 0.6],  # 2 (merges)
-                ]
-            )
-        )
-        assert greedy_decode(table, blank=1) == (0, 2)
-
-    def test_blank_separated_repeat_survives(self):
-        table = np.log(
-            np.array(
-                [
-                    [0.8, 0.1, 0.1],
-                    [0.1, 0.8, 0.1],
-                    [0.8, 0.1, 0.1],
-                ]
-            )
-        )
-        assert greedy_decode(table, blank=1) == (0, 0)
-
+    @settings(max_examples=400)
+    @given(tie_heavy_cases())
+    def test_matches_per_state_loop(self, case):
+        values, target, blank = case
+        try:
+            want = _viterbi_loop(values, target, blank)
+        except InfeasibleTargetError:
+            with pytest.raises(InfeasibleTargetError):
+                viterbi_align(values, target, blank=blank)
+            return
+        assert viterbi_align(values, target, blank=blank) == want
 
 class TestLogProbTable:
-    def test_from_logits_is_normalized(self):
-        rng = np.random.default_rng(31)
-        t = LogProbTable.from_logits(rng.normal(0, 3, size=(4, 6)))
-        assert t.length == 4 and t.vocab_size == 6
-        assert np.all(t.values <= 0)
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            LogProbTable(np.zeros((2, 3)))
-
     def test_alignment_log_prob_matches_viterbi_score(self):
         rng = np.random.default_rng(32)
         values = random_table(rng, 5, 4)

@@ -9,7 +9,6 @@ from natkit.glancing import (
     glance_count,
     glance_inputs_ctc,
     hamming,
-    lambda_at,
     sample_glance,
 )
 
@@ -17,17 +16,17 @@ from natkit.glancing import (
 class TestSchedule:
     def test_default_endpoints(self):
         sched = GlanceSchedule(max_steps=1000)
-        assert lambda_at(sched.at(0)) == pytest.approx(0.5)
-        assert lambda_at(sched.at(1000)) == pytest.approx(0.3)
+        assert sched.at(0).value() == pytest.approx(0.5)
+        assert sched.at(1000).value() == pytest.approx(0.3)
 
     def test_midpoint_and_clamp(self):
         sched = GlanceSchedule(max_steps=100)
-        assert lambda_at(sched.at(50)) == pytest.approx(0.4)
-        assert lambda_at(sched.at(250)) == pytest.approx(0.3)
+        assert sched.at(50).value() == pytest.approx(0.4)
+        assert sched.at(250).value() == pytest.approx(0.3)
 
     def test_monotone_nonincreasing(self):
         sched = GlanceSchedule(max_steps=17)
-        vals = [lambda_at(sched.at(u)) for u in range(40)]
+        vals = [sched.at(u).value() for u in range(40)]
         assert all(x >= y for x, y in zip(vals, vals[1:]))
 
     def test_validation(self):
@@ -50,9 +49,6 @@ class TestHamming:
     def test_strict_rejects_unequal(self):
         with pytest.raises(ValueError):
             hamming((1,), (1, 2))
-
-    def test_lenient_counts_length_difference(self):
-        assert hamming((1, 2, 3), (1, 9), strict=False) == 2
 
 
 class TestGlanceCount:
@@ -144,9 +140,9 @@ class TestGlanceInputsCtc:
         assert mask.target_len == 2
         assert mask.revealed == (aligned[mask.positions[0]],)
 
-    def test_schedule_accepted(self):
-        sched = GlanceSchedule(max_steps=10).at(10)  # lambda = 0.3 -> floor(0.6) = 0
-        mask, aligned = glance_inputs_ctc((0,), self.TABLE, sched, rng=0)
+    def test_schedule_end_value_reveals_nothing(self):
+        lam = GlanceSchedule(max_steps=10).at(10).value()  # 0.3 -> floor(0.6) = 0
+        mask, aligned = glance_inputs_ctc((0,), self.TABLE, lam, rng=0)
         assert len(mask) == 0
         assert aligned == (0, 1)
 

@@ -102,8 +102,6 @@ class TestPairedBootstrap:
             paired_bootstrap(a, a, REFS, n_resamples=50)
         with pytest.raises(SignificanceError):
             paired_bootstrap(a, a, REFS, "comet")
-        with pytest.raises(SignificanceError):
-            SystemRun("a", REFS, role="judge")
 
 
 class TestMarkTable:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from natkit.corpus import TokenSeq, synth_task
+from natkit.corpus import ParallelCorpus, TokenSeq, synth_task
 from natkit.glancing import GlanceSchedule
 from natkit.model import ModelConfig, init_params
 from natkit.training import (
@@ -237,9 +237,25 @@ class TestTrainModel:
             with np.errstate(all="ignore"):
                 train_model(corpus, cfg, hyper)
 
-    def test_empty_corpus_rejected(self):
-        from natkit.corpus import ParallelCorpus
+    @pytest.mark.parametrize("mode_kw, src_len, tgt_len", [
+        ({"upsample": 2}, 5, 3),              # CTC: decoder length 10 > 8
+        ({"autoregressive": True}, 3, 8),     # AT: target plus <eos> is 9 > 8
+        ({}, 9, 3),                           # length mode: source 9 > 8
+    ], ids=["ctc", "at", "length"])
+    def test_over_long_pair_skipped_in_every_mode(self, tmp_path, mode_kw, src_len, tgt_len):
+        pairs = synth_task(6, (3, 4), 1, seed=2, n_words=10).pairs
+        long_pair = (TokenSeq(tuple(range(5, 5 + src_len)), "source"),
+                     TokenSeq(tuple(range(14, 14 - tgt_len, -1)), "target"))
+        corpus = ParallelCorpus(pairs + (long_pair,))
+        cfg = small_cfg(max_len=8, **mode_kw)
+        hyper = TrainConfig(steps=3, batch_size=7, warmup=1, eval_every=3, seed=1, glat_start=0.5)
+        log_path = tmp_path / "log.jsonl"
+        res = train_model(corpus, cfg, hyper, heldout=pairs + (long_pair,), log_path=log_path)
+        assert all(math.isfinite(v) for _, v in res.val_history)
+        skipped = [json.loads(line)["skipped"] for line in log_path.read_text().splitlines()]
+        assert len(skipped) == 3 and sum(skipped) >= 1
 
+    def test_empty_corpus_rejected(self):
         cfg = small_cfg()
         with pytest.raises(ValueError):
             train_model(ParallelCorpus((), name="empty", seed=0, modes=1), cfg, TrainConfig())
