@@ -12,7 +12,7 @@ sentence, and that tension is what the alignment and glancing machinery
 is for.
 """
 
-from natkit.corpus import synth_task, synth_vocab
+from natkit.corpus import SPECIALS, synth_task, synth_vocab
 
 
 def show(corpus, vocab, title):
@@ -27,7 +27,7 @@ def show(corpus, vocab, title):
 def main():
     vocab = synth_vocab(8)
     print(f"vocabulary: {len(vocab)} entries, first content id {vocab.content_ids[0]}")
-    print(f"specials: {' '.join(vocab.specials)}")
+    print(f"specials: {' '.join(SPECIALS)}")
     print()
 
     # one mode: a pure relabeling, learnable to perfection

@@ -1,9 +1,11 @@
 """Self-contained checkpoint files with reproducible bytes.
 
 Layout: a magic line, one JSON header line (sorted keys) holding the format
-version, model config, vocabulary and tensor manifest, then the raw
-little-endian float64 bytes of each tensor in manifest order. No archive
-container, no timestamps, so identical runs produce identical files.
+version, model config, vocabulary, special tokens and tensor manifest, then
+the raw little-endian float64 bytes of each tensor in manifest order. No
+archive container, no timestamps, so identical runs produce identical files.
+The special tokens are stated so that a reader can check them: a header
+whose list differs from :data:`natkit.corpus.SPECIALS` does not load.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from natkit.corpus import CorpusError, Vocabulary
+from natkit.corpus import SPECIALS, CorpusError, Vocabulary
 from natkit.model import ModelConfig, Params, _param_keys
 
 MAGIC = b"natkit-checkpoint"
@@ -24,12 +26,6 @@ FORMAT_VERSION = 1
 
 class CheckpointError(ValueError):
     pass
-
-
-def config_to_dict(config: ModelConfig) -> dict:
-    d = dataclasses.asdict(config)
-    d["dec_self_attention"] = list(config.dec_self_attention)
-    return d
 
 
 def config_from_dict(d: dict) -> ModelConfig:
@@ -43,10 +39,7 @@ def config_from_dict(d: dict) -> ModelConfig:
     missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in d]
     if missing:
         raise CheckpointError(f"checkpoint config lacks required keys: {', '.join(missing)}")
-    d = dict(d)
     try:
-        if d.get("dec_self_attention") is not None:
-            d["dec_self_attention"] = tuple(bool(b) for b in d["dec_self_attention"])
         return ModelConfig(**d)
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"invalid checkpoint config: {e}") from e
@@ -80,9 +73,9 @@ def save_checkpoint(
     manifest = [[k, list(params[k].shape)] for k in sorted(params)]
     header = {
         "format": FORMAT_VERSION,
-        "config": config_to_dict(config),
+        "config": dataclasses.asdict(config),
         "vocab": list(vocab.tokens),
-        "specials": list(vocab.specials),
+        "specials": list(SPECIALS),
         "manifest": manifest,
         "extra": extra or {},
     }
@@ -114,8 +107,13 @@ def load_checkpoint(path: str | Path) -> tuple[Params, ModelConfig, Vocabulary, 
             raise CheckpointError(f"checkpoint {path} header lacks {', '.join(missing)}")
         config = config_from_dict(header["config"])
         _check_manifest(header["manifest"], config, path)
+        if header["specials"] != list(SPECIALS):
+            raise CheckpointError(
+                f"checkpoint {path} lists specials {header['specials']!r}; "
+                f"natkit's fixed layout is {list(SPECIALS)!r}"
+            )
         try:
-            vocab = Vocabulary(tokens=tuple(header["vocab"]), specials=tuple(header["specials"]))
+            vocab = Vocabulary(tokens=tuple(header["vocab"]))
         except (TypeError, CorpusError) as e:
             raise CheckpointError(f"checkpoint {path} has an invalid vocabulary: {e}") from e
         if len(vocab.tokens) != config.vocab_size:

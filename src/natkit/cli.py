@@ -14,6 +14,7 @@ import configparser
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -63,47 +64,25 @@ def _parse_bool_list(raw: str):
     return tuple(_parse_bool(part) for part in raw.split(","))
 
 
-def _parse_opt_int(raw: str):
-    return None if raw.strip().lower() == "none" else int(raw)
+def _optional(parse):
+    return lambda raw: None if raw.strip().lower() == "none" else parse(raw)
 
 
-def _parse_opt_float(raw: str):
-    return None if raw.strip().lower() == "none" else float(raw)
-
-
-MODEL_KEYS = {
-    "d_model": int,
-    "enc_layers": int,
-    "dec_layers": int,
-    "activation": str,
-    "init": str,
-    "dropout": float,
-    "decoder_input": str,
-    "dec_self_attention": _parse_bool_list,
-    "upsample": _parse_opt_int,
-    "length_mode": str,
-    "length_bound": int,
-    "max_abs_len": int,
-    "deep_supervision": _parse_bool,
-    "autoregressive": _parse_bool,
-    "max_len": int,
+# one parser per annotated field type (the modules defining the configs use
+# postponed annotations, so ``Field.type`` is the annotation's source text)
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "int | None": _optional(int),
+    "float | None": _optional(float),
+    "tuple[bool, ...] | None": _optional(_parse_bool_list),
 }
 
-TRAIN_KEYS = {
-    "steps": int,
-    "batch_size": int,
-    "lr": float,
-    "warmup": int,
-    "beta1": float,
-    "beta2": float,
-    "adam_eps": float,
-    "length_loss_weight": float,
-    "glat_start": _parse_opt_float,
-    "glat_slope": float,
-    "eval_every": int,
-    "keep_best": int,
-    "seed": int,
-}
+# vocab_size is derived from the data files, never read from [model]
+MODEL_KEYS = {f.name: _PARSERS[f.type] for f in fields(ModelConfig) if f.name != "vocab_size"}
+TRAIN_KEYS = {f.name: _PARSERS[f.type] for f in fields(TrainConfig)}
 
 
 def _load_ini(path: str) -> configparser.ConfigParser:
@@ -157,12 +136,11 @@ def _read_corpus_files(parser: configparser.ConfigParser, config_path: str):
     token_lines = [line.split() for line in _checked_lines(src)]
     token_lines += [line.split() for line in _checked_lines(tgt)]
     vocab = build_vocab(token_lines)
-    corpus = read_parallel(vocab, src, tgt, name="train")
+    corpus = read_parallel(vocab, src, tgt)
     heldout = None
     if "heldout_src" in data:
-        heldout = read_parallel(
-            vocab, resolve(data["heldout_src"]), resolve(data["heldout_tgt"]), name="heldout"
-        ).pairs
+        held_src, held_tgt = resolve(data["heldout_src"]), resolve(data["heldout_tgt"])
+        heldout = read_parallel(vocab, held_src, held_tgt).pairs
     return corpus, heldout, vocab
 
 
@@ -176,6 +154,11 @@ def _build_configs(parser: configparser.ConfigParser, vocab_size: int, seed_over
         hyper = TrainConfig(**train_kwargs)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    if config.autoregressive and hyper.glat_start is not None:
+        raise InputError(
+            "glat_start in [training] needs a parallel model; "
+            "the autoregressive = true model in [model] never glances"
+        )
     return config, hyper
 
 
@@ -455,8 +438,7 @@ def cmd_synth(args) -> int:
         raise InputError(f"bad length range [{args.len_min}, {args.len_max}]")
     vocab = synth_vocab(args.n_words)
     corpus = synth_task(
-        args.n, (args.len_min, args.len_max), args.modes, args.seed,
-        vocab=vocab, n_words=args.n_words,
+        args.n, (args.len_min, args.len_max), args.modes, args.seed, n_words=args.n_words
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -5,6 +5,9 @@ fixed order, so every model in the package can rely on the same layout:
 
     0 <unk>   1 <blank>   2 <pad>   3 <bos>   4 <eos>
 
+:data:`SPECIALS` is the one definition of that layout; no vocabulary,
+corpus or checkpoint can declare another.
+
 Sources and targets never contain <blank>; it exists only inside alignment
 lattices. Corpus files are UTF-8, one sentence per line, LF terminated, and
 parallel files align by line number.
@@ -41,7 +44,7 @@ class CorpusError(ValueError):
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Bidirectional token <-> id map with reserved special tokens.
+    """Bidirectional token <-> id map; :data:`SPECIALS` hold the lowest ids.
 
     ``tokens[i]`` is the surface form of id ``i``; ids are dense. Construct
     via :func:`build_vocab` or :meth:`Vocabulary.from_tokens`; checkpoints
@@ -49,14 +52,13 @@ class Vocabulary:
     """
 
     tokens: tuple[str, ...]
-    specials: tuple[str, ...] = SPECIALS
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if tuple(self.tokens[: len(self.specials)]) != tuple(self.specials):
+        if tuple(self.tokens[: len(SPECIALS)]) != SPECIALS:
             raise CorpusError(
-                f"specials {self.specials!r} must occupy the lowest ids, "
-                f"got {self.tokens[:len(self.specials)]!r}"
+                f"specials {SPECIALS!r} must occupy the lowest ids, "
+                f"got {self.tokens[:len(SPECIALS)]!r}"
             )
         index = {}
         for i, tok in enumerate(self.tokens):
@@ -66,29 +68,16 @@ class Vocabulary:
         object.__setattr__(self, "_index", index)
 
     @classmethod
-    def from_tokens(cls, content_tokens: Iterable[str], specials: Sequence[str] = SPECIALS) -> "Vocabulary":
-        return cls(tokens=tuple(specials) + tuple(content_tokens), specials=tuple(specials))
+    def from_tokens(cls, content_tokens: Iterable[str]) -> "Vocabulary":
+        return cls(tokens=SPECIALS + tuple(content_tokens))
 
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
-    @property
-    def n_specials(self) -> int:
-        return len(self.specials)
-
     @property
     def content_ids(self) -> range:
         """Ids of ordinary tokens (everything past the specials)."""
-        return range(self.n_specials, len(self.tokens))
-
-    def id_of(self, token: str) -> int:
-        return self._index.get(token, UNK_ID)
-
-    def token_of(self, idx: int) -> str:
-        return self.tokens[idx]
+        return range(len(SPECIALS), len(self.tokens))
 
     def encode(self, tokens: Iterable[str]) -> tuple[int, ...]:
         """Map surface tokens to ids; unknown tokens become <unk>."""
@@ -100,20 +89,17 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class TokenSeq:
-    """An id sequence with its role in a parallel pair.
+    """One side of a parallel pair as an id sequence.
 
     Sources and targets must not contain the blank id; the blank belongs to
     alignment space only.
     """
 
     ids: tuple[int, ...]
-    role: str = "target"  # "source" | "target" | "hypothesis"
 
     def __post_init__(self) -> None:
-        if self.role not in ("source", "target", "hypothesis"):
-            raise CorpusError(f"unknown role {self.role!r}")
         if BLANK_ID in self.ids:
-            raise CorpusError(f"{self.role} sequence contains the blank id {BLANK_ID}")
+            raise CorpusError(f"sequence contains the blank id {BLANK_ID}")
         object.__setattr__(self, "ids", tuple(int(i) for i in self.ids))
 
     def __len__(self) -> int:
@@ -122,24 +108,15 @@ class TokenSeq:
 
 @dataclass(frozen=True)
 class ParallelCorpus:
-    """Aligned (source, target) pairs plus the provenance needed to rebuild them."""
+    """Aligned (source, target) pairs."""
 
     pairs: tuple[tuple[TokenSeq, TokenSeq], ...]
-    name: str = ""
-    seed: int | None = None
-    modes: int | None = None
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def __iter__(self):
         return iter(self.pairs)
-
-    def sources(self) -> list[TokenSeq]:
-        return [s for s, _ in self.pairs]
-
-    def targets(self) -> list[TokenSeq]:
-        return [t for _, t in self.pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -170,33 +147,31 @@ def tokenize_13a(text: str) -> list[str]:
     return norm.split()
 
 
-def build_vocab(sentences: Iterable[Sequence[str]], specials: Sequence[str] = SPECIALS) -> Vocabulary:
+def build_vocab(sentences: Iterable[Sequence[str]]) -> Vocabulary:
     """Build a vocabulary from tokenized sentences.
 
     Content tokens are ordered by descending frequency, ties broken
     lexicographically, after the specials. A content token colliding with a
     special name is rejected.
     """
-    if len(set(specials)) != len(tuple(specials)):
-        raise CorpusError(f"duplicate special tokens in {specials!r}")
     counts: Counter[str] = Counter()
     for sent in sentences:
         counts.update(sent)
-    for sp in specials:
+    for sp in SPECIALS:
         if sp in counts:
             raise CorpusError(f"corpus token {sp!r} collides with a special token")
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return Vocabulary.from_tokens([tok for tok, _ in ordered], specials=specials)
+    return Vocabulary.from_tokens([tok for tok, _ in ordered])
 
 
 # ---------------------------------------------------------------------------
 # Synthetic parallel task
 # ---------------------------------------------------------------------------
 
-def synth_vocab(n_words: int, specials: Sequence[str] = SPECIALS) -> Vocabulary:
+def synth_vocab(n_words: int) -> Vocabulary:
     """Vocabulary of ``n_words`` synthetic word types w00, w01, ..."""
     width = max(2, len(str(max(n_words - 1, 0))))
-    return Vocabulary.from_tokens([f"w{i:0{width}d}" for i in range(n_words)], specials=specials)
+    return Vocabulary.from_tokens([f"w{i:0{width}d}" for i in range(n_words)])
 
 
 def _apply_mode(src_ids: Sequence[int], mode: int, lo: int, n_content: int) -> tuple[int, ...]:
@@ -227,26 +202,23 @@ def synth_task(
     src_len_range: tuple[int, int],
     modes: int,
     seed: int,
-    vocab: Vocabulary | None = None,
     n_words: int = 20,
 ) -> ParallelCorpus:
     """Generate an aligned synthetic corpus with a controlled number of modes.
 
-    With ``modes=1`` the target is a pure function of the source (a cyclic
-    shift of the content ids plus one appended token), so the task is
-    deterministic. With ``modes>=2`` each pair picks one of several injective
-    mappings uniformly at random, making the raw data multimodal: the same
-    source string admits several valid targets.
+    Ids index :func:`synth_vocab` of ``n_words``. With ``modes=1`` the target
+    is a pure function of the source (a cyclic shift of the content ids plus
+    one appended token), so the task is deterministic. With ``modes>=2`` each
+    pair picks one of several injective mappings uniformly at random, making
+    the raw data multimodal: the same source string admits several valid
+    targets.
     """
     if modes < 1:
         raise CorpusError(f"modes must be >= 1, got {modes}")
     lo_len, hi_len = src_len_range
     if lo_len < 1 or hi_len < lo_len:
         raise CorpusError(f"bad source length range {src_len_range!r}")
-    if vocab is None:
-        vocab = synth_vocab(n_words)
-    lo = vocab.n_specials
-    n_content = len(vocab) - lo
+    lo, n_content = len(SPECIALS), n_words
     if n_content < 2:
         raise CorpusError("need at least 2 content tokens")
 
@@ -257,8 +229,8 @@ def synth_task(
         src = tuple(int(x) for x in rng.integers(lo, lo + n_content, size=j))
         mode = int(rng.integers(0, modes)) if modes > 1 else 0
         tgt = _apply_mode(src, mode, lo, n_content)
-        pairs.append((TokenSeq(src, "source"), TokenSeq(tgt, "target")))
-    return ParallelCorpus(tuple(pairs), name=f"synth-m{modes}", seed=seed, modes=modes)
+        pairs.append((TokenSeq(src), TokenSeq(tgt)))
+    return ParallelCorpus(tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +269,6 @@ def read_parallel(
     vocab: Vocabulary,
     src_path: str | Path,
     tgt_path: str | Path,
-    name: str = "",
 ) -> ParallelCorpus:
     src_lines = read_lines(src_path)
     tgt_lines = read_lines(tgt_path)
@@ -307,10 +278,7 @@ def read_parallel(
             f"{tgt_path} has {len(tgt_lines)}"
         )
     pairs = tuple(
-        (
-            TokenSeq(vocab.encode(s.split()), "source"),
-            TokenSeq(vocab.encode(t.split()), "target"),
-        )
+        (TokenSeq(vocab.encode(s.split())), TokenSeq(vocab.encode(t.split())))
         for s, t in zip(src_lines, tgt_lines)
     )
-    return ParallelCorpus(pairs, name=name)
+    return ParallelCorpus(pairs)

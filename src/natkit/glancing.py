@@ -21,14 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from natkit.corpus import BLANK_ID
 from natkit.ctc import viterbi_align
-
-
-def _rng(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
 
 
 @dataclass(frozen=True)
@@ -95,13 +88,12 @@ class GlanceMask:
         return len(self.positions)
 
 
-def sample_glance(target: Sequence[int], s: int, rng: int | np.random.Generator) -> GlanceMask:
+def sample_glance(target: Sequence[int], s: int, rng: np.random.Generator) -> GlanceMask:
     """Uniform s-subset of the target's positions, revealing its tokens."""
     n = len(target)
     if not (0 <= s <= n):
         raise ValueError(f"cannot reveal {s} of {n} positions")
-    gen = _rng(rng)
-    pos = tuple(sorted(int(p) for p in gen.choice(n, size=s, replace=False))) if s else ()
+    pos = tuple(sorted(int(p) for p in rng.choice(n, size=s, replace=False))) if s else ()
     return GlanceMask(pos, tuple(int(target[p]) for p in pos), n)
 
 
@@ -109,15 +101,14 @@ def glance_inputs_ctc(
     target: Sequence[int],
     table: np.ndarray,
     lam: float,
-    rng: int | np.random.Generator,
-    blank: int = BLANK_ID,
+    rng: np.random.Generator,
 ) -> tuple[GlanceMask, tuple[int, ...]]:
     """Glance in alignment space: Viterbi target vs raw argmax string.
 
     Returns the sampled mask (positions over the alignment length) and the
     Viterbi-aligned target the reveals are drawn from.
     """
-    aligned, _ = viterbi_align(table, target, blank)
+    aligned, _ = viterbi_align(table, target)
     pred = tuple(int(v) for v in np.argmax(table, axis=1))
     s = glance_count(aligned, pred, lam)
     return sample_glance(aligned, s, rng), aligned

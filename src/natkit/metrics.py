@@ -366,20 +366,18 @@ def bucketed_bleu(hyps, refs, edges=DEFAULT_BLEU_BUCKETS):
 
     ``edges`` are ascending lower bounds; the last bucket is open-ended.
     Returns (label, score or None, count) per bucket; empty buckets score None.
+    The corpus is scored once; each bucket rescores its rows of the sentence
+    statistics, bucketed by their 13a reference length.
     """
-    _check_corpus(hyps, refs)
     edges = list(edges)
     if edges != sorted(edges) or len(set(edges)) != len(edges):
         raise MetricError("bucket edges must be strictly ascending")
-    bounds = edges + [None]
-    lengths = [len(tokenize_13a(r)) for r in refs]
+    stats = bleu(hyps, refs).sentence_stats
+    lengths = stats[:, 9]
     out = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        in_bucket = [i for i, n in enumerate(lengths) if n >= lo and (hi is None or n < hi)]
-        label = f"[{lo},{hi})" if hi is not None else f"[{lo},inf)"
-        if not in_bucket:
-            out.append((label, None, 0))
-            continue
-        report = bleu([hyps[i] for i in in_bucket], [refs[i] for i in in_bucket])
-        out.append((label, report.value, len(in_bucket)))
+    for lo, hi in zip(edges, edges[1:] + [np.inf]):
+        rows = (lengths >= lo) & (lengths < hi)
+        n = int(np.count_nonzero(rows))
+        value = float(bleu_score_from_stats(stats[rows].sum(axis=0))) if n else None
+        out.append((f"[{lo},{hi})", value, n))
     return out

@@ -108,11 +108,9 @@ class ModelConfig:
 
 @dataclass
 class LayerStates:
-    """Per-layer decoder states plus everything a loss head consumes."""
+    """Per-layer decoder logits plus everything a loss head consumes."""
 
-    hidden: list[np.ndarray]
     logits: list[np.ndarray]
-    encoder_out: np.ndarray
     length_logits: np.ndarray | None
     cache: dict = field(repr=False, default_factory=dict)
 
@@ -400,7 +398,7 @@ def _decode_stack(params, config: ModelConfig, enc_out, base, train, rng, counte
         hidden.append(x)
         logits.append(x @ E.T)
     cache = {"in_mask": in_mask, "layers": layers, "hidden": hidden}
-    return hidden, logits, cache
+    return logits, cache
 
 
 def forward(
@@ -431,7 +429,7 @@ def forward(
             raise ModelError("glancing applies to parallel decoding only")
     else:
         base, in_cache = decoder_inputs(params, config, src_ids, decoder_len, glance)
-    hidden, logits, dec_cache = _decode_stack(params, config, enc_out, base, train, rng, counter)
+    logits, dec_cache = _decode_stack(params, config, enc_out, base, train, rng, counter)
     cache = {
         "config": config,
         "enc": enc_cache,
@@ -440,8 +438,7 @@ def forward(
         "base": base,
         "dec": dec_cache,
     }
-    return LayerStates(hidden=hidden, logits=logits, encoder_out=enc_out,
-                       length_logits=length_logits, cache=cache)
+    return LayerStates(logits=logits, length_logits=length_logits, cache=cache)
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +569,9 @@ def loss_nat(
     return _ce_rows(logits, target, rows)
 
 
-def loss_ctc(
-    states: LayerStates,
-    target: Sequence[int],
-    blank: int = BLANK_ID,
-    layer: int = -1,
-) -> tuple[float, np.ndarray]:
+def loss_ctc(states: LayerStates, target: Sequence[int], layer: int = -1) -> tuple[float, np.ndarray]:
     """Negative log alignment marginal on the layer's logits."""
-    return ctc_loss_logits(states.logits[layer], target, blank)
+    return ctc_loss_logits(states.logits[layer], target)
 
 
 def loss_deep_supervision(
@@ -587,7 +579,6 @@ def loss_deep_supervision(
     target: Sequence[int],
     base: str = "nat",
     mask: GlanceMask | None = None,
-    blank: int = BLANK_ID,
 ) -> tuple[float, list[np.ndarray]]:
     """Mean of the base loss applied at every decoder layer."""
     L = len(states.logits)
@@ -597,7 +588,7 @@ def loss_deep_supervision(
         if base == "nat":
             val, dl = loss_nat(states, target, mask=mask, layer=l)
         elif base == "ctc":
-            val, dl = loss_ctc(states, target, blank=blank, layer=l)
+            val, dl = loss_ctc(states, target, layer=l)
         else:
             raise ModelError(f"unknown base loss {base!r}")
         total += val
@@ -650,29 +641,20 @@ def decode(
     config: ModelConfig,
     src_ids: Sequence[int],
     counter: ForwardCounter | None = None,
-    forced_length: int | None = None,
 ) -> tuple[int, ...]:
     """One parallel pass: collapse the argmax string (alignment mode) or read
-    the argmax at each of the predicted-length positions (length mode).
-
-    ``forced_length`` overrides the predicted length in length mode.
-    """
+    the argmax at each of the predicted-length positions (length mode)."""
     if config.autoregressive:
         raise ModelError("use decode_at for the autoregressive baseline")
     enc_out, length_logits, _ = _encode(params, config, src_ids, train=False, rng=None)
     if config.mode == "ctc":
         T = len(src_ids) * int(config.upsample)
     else:
-        if forced_length is not None:
-            if forced_length < 0:
-                raise ModelError("forced_length must be non-negative")
-            T = forced_length
-        else:
-            T = predicted_length(config, len(src_ids), length_logits)
+        T = predicted_length(config, len(src_ids), length_logits)
         if T == 0:
             return ()
     base, _ = decoder_inputs(params, config, src_ids, T)
-    _, logits, _ = _decode_stack(params, config, enc_out, base, train=False, rng=None, counter=counter)
+    logits, _ = _decode_stack(params, config, enc_out, base, train=False, rng=None, counter=counter)
     ids = np.argmax(logits[-1], axis=1)
     if config.mode == "ctc":
         return collapse(ids, BLANK_ID)

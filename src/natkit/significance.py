@@ -11,7 +11,7 @@ whenever the winner fails to win it, ties included.
 the first row of each sub-block is that block's root; a row labelled
 "+X" is compared against its block root, a row labelled "+X+Y" against
 the "+X" row, and the root of every sub-block after the first against
-the first sub-block's root.  Rows whose comparison yields p >= alpha
+the first sub-block's root.  Rows whose comparison yields p >= ALPHA
 are flagged (the table dagger).
 """
 
@@ -23,6 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import METRICS, SCORERS_FROM_STATS, ScoreReport, lower_is_better
+
+# significance level of every comparison and of the table dagger
+ALPHA = 0.05
 
 
 class SignificanceError(ValueError):
@@ -50,7 +53,7 @@ class BootstrapResult:
 
     @property
     def significant(self) -> bool:
-        return self.p_value < 0.05
+        return self.p_value < ALPHA
 
 
 def _resample_counts(rng: np.random.Generator, n_resamples: int, n: int) -> np.ndarray:
@@ -147,7 +150,6 @@ def mark_table(
     *,
     n_resamples: int = 1000,
     seed: int = 0,
-    alpha: float = 0.05,
 ) -> list[TableRow]:
     """Score every system once and attach protocol-determined pairwise p-values."""
     _check_metric(metric)
@@ -194,7 +196,7 @@ def mark_table(
                     base_run, scored, refs, metric, n_resamples=n_resamples, seed=seed
                 )
                 rows.append(
-                    TableRow(run.system, res.cand_value, base_run.system, res.p_value, res.p_value >= alpha)
+                    TableRow(run.system, res.cand_value, base_run.system, res.p_value, res.p_value >= ALPHA)
                 )
         if first_root is None:
             first_root = by_label[root.system]

@@ -154,7 +154,7 @@ def _sentence_pass(
         return None
 
     glance = None
-    if lam is not None and lam > 0.0 and mode != "at":
+    if lam is not None and lam > 0.0:
         last = forward(params, config, src.ids, T, train=False).logits[-1]
         if mode == "length":
             pred = tuple(int(v) for v in np.argmax(last, axis=1))
@@ -201,9 +201,13 @@ def train_step(
     step: int,
     sched: GlanceSchedule | None = None,
 ) -> tuple[Params, AdamState, dict]:
-    """One optimization step over a batch; pure given (inputs, step, seed)."""
+    """One optimization step over a batch; pure given (inputs, step, seed).
+
+    The glancing ratio is computed, and logged, only for a parallel model:
+    an autoregressive one never glances, so its ``lambda`` is None.
+    """
     rng = np.random.default_rng([hyper.seed, step])
-    lam = sched.at(step).value() if sched is not None else None
+    lam = sched.at(step).value() if sched is not None and config.mode != "at" else None
     total = zero_grads(params)
     loss_sum = 0.0
     comp_sum: dict[str, float] = {}

@@ -1,15 +1,10 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from natkit.checkpoint import (
-    CheckpointError,
-    config_from_dict,
-    config_to_dict,
-    load_checkpoint,
-    save_checkpoint,
-)
+from natkit.checkpoint import CheckpointError, config_from_dict, load_checkpoint, save_checkpoint
 from natkit.corpus import SPECIALS, Vocabulary
 from natkit.model import ModelConfig, init_params
 
@@ -17,7 +12,7 @@ from natkit.model import ModelConfig, init_params
 def fixture(tmp_path):
     cfg = ModelConfig(vocab_size=9, d_model=8, enc_layers=1, dec_layers=2,
                       upsample=2, dec_self_attention=(True, False), max_len=16)
-    vocab = Vocabulary.from_tokens(["aa", "bb", "cc", "dd"], specials=SPECIALS)
+    vocab = Vocabulary.from_tokens(["aa", "bb", "cc", "dd"])
     params = init_params(cfg, 12)
     path = tmp_path / "model.ckpt"
     return cfg, vocab, params, path
@@ -52,7 +47,7 @@ class TestRoundtrip:
     def test_scalar_parameter_roundtrip(self, tmp_path):
         cfg = ModelConfig(vocab_size=9, d_model=8, enc_layers=1, dec_layers=1,
                           decoder_input="soft_copy", max_len=16)
-        vocab = Vocabulary.from_tokens(["aa", "bb", "cc", "dd"], specials=SPECIALS)
+        vocab = Vocabulary.from_tokens(["aa", "bb", "cc", "dd"])
         params = init_params(cfg, 0)
         assert params["soft_tau"].shape == ()
         path = tmp_path / "m.ckpt"
@@ -125,7 +120,7 @@ class TestBadConfig:
             load_checkpoint(path)
 
     def test_rejected_values(self):
-        good = config_to_dict(ModelConfig(vocab_size=9, d_model=8, max_len=16))
+        good = asdict(ModelConfig(vocab_size=9, d_model=8, max_len=16))
         for key, value in (("d_model", 1), ("activation", "tanh"), ("d_model", "wide"),
                            ("dec_self_attention", 3)):
             with pytest.raises(CheckpointError, match="invalid checkpoint config"):
@@ -138,7 +133,8 @@ class TestConfigDict:
     def test_roundtrip_preserves_tuples(self):
         cfg = ModelConfig(vocab_size=9, d_model=8, enc_layers=1, dec_layers=2,
                           dec_self_attention=(False, True), max_len=16)
-        d = config_to_dict(cfg)
+        d = json.loads(json.dumps(asdict(cfg)))
+        assert d["dec_self_attention"] == [False, True]
         assert config_from_dict(d) == cfg
 
     def test_roundtrip_all_modes(self):
@@ -147,7 +143,7 @@ class TestConfigDict:
             ModelConfig(vocab_size=9, length_mode="absolute", max_abs_len=10),
             ModelConfig(vocab_size=9, autoregressive=True),
         ):
-            assert config_from_dict(config_to_dict(cfg)) == cfg
+            assert config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 class TestBadHeader:
@@ -194,6 +190,15 @@ class TestBadHeader:
         save_checkpoint(path, params, cfg, vocab)
         edit_header(path, lambda h: h.update(vocab=h["vocab"][:-1]))
         with pytest.raises(CheckpointError, match="vocabulary has 8 tokens, its config vocab_size=9"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("specials", [list(SPECIALS[:4]), list(SPECIALS[::-1]), "<unk>"],
+                             ids=["eos_as_content", "reordered", "not_a_list"])
+    def test_foreign_specials(self, tmp_path, specials):
+        cfg, vocab, params, path = fixture(tmp_path)
+        save_checkpoint(path, params, cfg, vocab)
+        edit_header(path, lambda h: h.update(specials=specials))
+        with pytest.raises(CheckpointError, match="natkit's fixed layout"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("vocab", [5, ["<unk>", "aa"], ["<unk>", "<blank>", "<pad>", "<bos>", "<eos>", "aa", "aa"]])

@@ -1,13 +1,16 @@
+import configparser
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from natkit.checkpoint import save_checkpoint
-from natkit.cli import main
-from natkit.corpus import read_lines, synth_task, synth_vocab, write_parallel
+from natkit.cli import MODEL_KEYS, TRAIN_KEYS, _typed_section, main
+from natkit.corpus import SPECIALS, read_lines, synth_task, synth_vocab, write_parallel
 from natkit.metrics import bleu
 from natkit.model import ModelConfig, init_params
+from natkit.training import TrainConfig
 
 TRAIN_INI = """\
 [data]
@@ -33,7 +36,7 @@ seed = 3
 
 def write_corpus(dir_path, n=40, seed=5):
     vocab = synth_vocab(12)
-    corpus = synth_task(n, (4, 7), 1, seed, vocab=vocab, n_words=12)
+    corpus = synth_task(n, (4, 7), 1, seed, n_words=12)
     write_parallel(corpus, vocab, dir_path / "src.txt", dir_path / "tgt.txt")
     return dir_path / "src.txt", dir_path / "tgt.txt"
 
@@ -260,6 +263,17 @@ class TestTrain:
         ini.write_text(f"[data]\nsrc = {src}\ntgt = {tgt}\n\n[model]\nvocab_size = 99\n")
         assert main(["train", "--config", str(ini), "--out-dir", str(tmp_path / "o")]) == 2
 
+    def test_glat_start_with_autoregressive_exit_2(self, tmp_path, capsys):
+        write_corpus(tmp_path)
+        ini = tmp_path / "train.ini"
+        text = TRAIN_INI.format(src="src.txt", tgt="tgt.txt", steps=2)
+        ini.write_text(text.replace("upsample = 2", "autoregressive = true")
+                       .replace("[training]", "[training]\nglat_start = 0.5"))
+        assert main(["train", "--config", str(ini), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "glat_start" in err and "autoregressive" in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(
             ["train", "--config", str(tmp_path / "no.ini"), "--out-dir", str(tmp_path / "o")]
@@ -320,7 +334,7 @@ class TestDecode:
         params = {k: np.zeros_like(v) for k, v in init_params(config, 0).items()}
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, params, config, vocab)
-        words = vocab.tokens[len(vocab.specials):]
+        words = vocab.tokens[len(SPECIALS):]
         src = tmp_path / "src.txt"
         src.write_text(" ".join(words[:4]) + "\n" + " ".join(words[i % len(words)] for i in range(n_long)) + "\n")
         out = tmp_path / "hyp.txt"
@@ -346,6 +360,17 @@ class TestDecode:
         bad = edited_checkpoint(trained["ckpt"], tmp_path / "bad.ckpt", edit)
         assert main(["decode", "--checkpoint", str(bad), "--src", str(trained["src"])]) == 2
         assert message in capsys.readouterr().err
+
+
+    def test_checkpoint_with_foreign_specials_exit_2(self, tmp_path, trained, capsys):
+        # four specials would make <eos> a content token and id 4 a word
+        bad = edited_checkpoint(trained["ckpt"], tmp_path / "bad.ckpt",
+                                lambda h: h.update(specials=h["specials"][:4]))
+        out = tmp_path / "hyp.txt"
+        assert main(["decode", "--checkpoint", str(bad), "--src", str(trained["src"]),
+                     "--out", str(out)]) == 2
+        assert "natkit's fixed layout" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:
@@ -414,7 +439,7 @@ class TestBench:
                              upsample=3, max_len=48)
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, init_params(config, 0), config, vocab)
-        words = vocab.tokens[len(vocab.specials):]
+        words = vocab.tokens[len(SPECIALS):]
         src = tmp_path / "src.txt"
         src.write_text(" ".join(words[:4]) + "\n" + " ".join(words[i % len(words)] for i in range(17)) + "\n")
         out = tmp_path / "table.tsv"
@@ -518,3 +543,33 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def _ini_text(value) -> str:
+    """A config value as it is written in an INI file."""
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+CONFIG_FIELDS = [("model", f) for f in fields(ModelConfig) if f.name != "vocab_size"]
+CONFIG_FIELDS += [("training", f) for f in fields(TrainConfig)]
+
+
+@pytest.mark.parametrize("section, field", CONFIG_FIELDS, ids=lambda v: getattr(v, "name", v))
+def test_every_config_field_settable(tmp_path, capsys, section, field):
+    raw = _ini_text(field.default)
+    parser = configparser.ConfigParser()
+    parser.read_string(f"[{section}]\n{field.name} = {raw}\n")
+    keys = MODEL_KEYS if section == "model" else TRAIN_KEYS
+    assert _typed_section(parser, section, keys) == {field.name: field.default}
+
+    write_corpus(tmp_path, n=8)
+    ini = tmp_path / "train.ini"
+    # a length-mode model, so that every default value trains
+    ini.write_text(TRAIN_INI.format(src="src.txt", tgt="tgt.txt", steps=1).replace("upsample = 2\n", ""))
+    assert main(["sweep", "--config", str(ini), "--knob", field.name, "--values", raw]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")
+    assert rows[1].split("\t")[:2] == [field.name, raw]

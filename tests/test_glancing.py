@@ -87,25 +87,25 @@ class TestGlanceCount:
 
 class TestSampleGlance:
     def test_sizes_and_range(self):
-        mask = sample_glance((5, 6, 7, 8), 2, rng=0)
+        mask = sample_glance((5, 6, 7, 8), 2, rng=np.random.default_rng(0))
         assert len(mask) == 2
         assert all(0 <= p < 4 for p in mask.positions)
         assert mask.revealed == tuple((5, 6, 7, 8)[p] for p in mask.positions)
 
     def test_empty_and_full(self):
-        assert len(sample_glance((5, 6), 0, rng=1)) == 0
-        full = sample_glance((5, 6), 2, rng=1)
+        assert len(sample_glance((5, 6), 0, rng=np.random.default_rng(1))) == 0
+        full = sample_glance((5, 6), 2, rng=np.random.default_rng(1))
         assert full.positions == (0, 1)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            sample_glance((5, 6), 3, rng=0)
+            sample_glance((5, 6), 3, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            sample_glance((5, 6), -1, rng=0)
+            sample_glance((5, 6), -1, rng=np.random.default_rng(0))
 
     def test_deterministic_per_seed(self):
-        a = sample_glance(tuple(range(5, 15)), 4, rng=42)
-        b = sample_glance(tuple(range(5, 15)), 4, rng=42)
+        a = sample_glance(tuple(range(5, 15)), 4, rng=np.random.default_rng(42))
+        b = sample_glance(tuple(range(5, 15)), 4, rng=np.random.default_rng(42))
         assert a == b
 
     def test_uniform_over_positions(self):
@@ -134,7 +134,7 @@ class TestGlanceInputsCtc:
     TABLE = np.log(np.array([[0.3, 0.2, 0.5], [0.2, 0.3, 0.5]]))
 
     def test_hand_case(self):
-        mask, aligned = glance_inputs_ctc((0,), self.TABLE, 0.5, rng=0)
+        mask, aligned = glance_inputs_ctc((0,), self.TABLE, 0.5, rng=np.random.default_rng(0))
         assert aligned == (0, 1)
         assert len(mask) == 1
         assert mask.target_len == 2
@@ -142,17 +142,17 @@ class TestGlanceInputsCtc:
 
     def test_schedule_end_value_reveals_nothing(self):
         lam = GlanceSchedule(max_steps=10).at(10).value()  # 0.3 -> floor(0.6) = 0
-        mask, aligned = glance_inputs_ctc((0,), self.TABLE, lam, rng=0)
+        mask, aligned = glance_inputs_ctc((0,), self.TABLE, lam, rng=np.random.default_rng(0))
         assert len(mask) == 0
         assert aligned == (0, 1)
 
     def test_deterministic(self):
-        a = glance_inputs_ctc((0,), self.TABLE, 0.5, rng=7)
-        b = glance_inputs_ctc((0,), self.TABLE, 0.5, rng=7)
+        a = glance_inputs_ctc((0,), self.TABLE, 0.5, rng=np.random.default_rng(7))
+        b = glance_inputs_ctc((0,), self.TABLE, 0.5, rng=np.random.default_rng(7))
         assert a == b
 
     def test_perfect_first_pass_reveals_nothing(self):
         table = np.log(np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1]]))
-        mask, aligned = glance_inputs_ctc((0,), table, 0.5, rng=0)
+        mask, aligned = glance_inputs_ctc((0,), table, 0.5, rng=np.random.default_rng(0))
         assert aligned == (0, 1)
         assert len(mask) == 0

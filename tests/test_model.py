@@ -113,11 +113,12 @@ class TestForwardShapes:
         c = cfg(dec_layers=3, dec_self_attention=(True, False, True))
         p = init_params(c, 1)
         st = forward(p, c, SRC, 6)
-        assert len(st.logits) == 3 and len(st.hidden) == 3
+        hidden = st.cache["dec"]["hidden"]
+        assert len(st.logits) == 3 and len(hidden) == 3
         for l in range(3):
             assert st.logits[l].shape == (6, V)
-            assert st.hidden[l].shape == (6, 8)
-        assert st.encoder_out.shape == (len(SRC), 8)
+            assert hidden[l].shape == (6, 8)
+        assert st.cache["enc_out"].shape == (len(SRC), 8)
         assert st.length_logits.shape == (65,)
 
     def test_ctc_mode_has_no_length_head(self):

@@ -117,11 +117,22 @@ class TestTrainStep:
         assert rec["lambda"] == 0.5
         assert any(not np.array_equal(a[k], b[k]) for k in a)
 
+    def test_autoregressive_model_logs_no_lambda(self):
+        cfg = small_cfg(autoregressive=True)
+        hyper = TrainConfig(seed=4)
+        batch = make_batch()
+        p0 = init_params(cfg, 0)
+        sched = GlanceSchedule(0.5, 0.2, 0, 10)
+        a, _, rec = train_step(p0, cfg, batch, hyper, AdamState.zeros(p0), 1, sched)
+        b, _, _ = train_step(p0, cfg, batch, hyper, AdamState.zeros(p0), 1, None)
+        assert rec["lambda"] is None
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+
     def test_infeasible_pair_skipped(self):
         cfg = small_cfg(upsample=2)
         hyper = TrainConfig(seed=1)
-        src = TokenSeq((5, 6), "source")
-        tgt = TokenSeq((7, 7, 7), "target")  # needs 5 slots, table has 4
+        src = TokenSeq((5, 6))
+        tgt = TokenSeq((7, 7, 7))  # needs 5 slots, table has 4
         p0 = init_params(cfg, 0)
         params, _, rec = train_step(p0, cfg, [(src, tgt)], hyper, AdamState.zeros(p0), 1)
         assert rec["skipped"] == 1
@@ -131,8 +142,8 @@ class TestTrainStep:
     def test_length_clamp_counted(self):
         cfg = small_cfg(length_bound=2)
         hyper = TrainConfig(seed=1)
-        src = TokenSeq((5, 6, 7), "source")
-        tgt = TokenSeq((8, 9, 10, 11, 12, 13, 14, 5), "target")  # offset +5 > 2
+        src = TokenSeq((5, 6, 7))
+        tgt = TokenSeq((8, 9, 10, 11, 12, 13, 14, 5))  # offset +5 > 2
         p0 = init_params(cfg, 0)
         _, _, rec = train_step(p0, cfg, [(src, tgt)], hyper, AdamState.zeros(p0), 1)
         assert rec["components"]["length_clamped"] == 1.0
@@ -165,7 +176,7 @@ class TestValidation:
         hyper = TrainConfig()
         p = init_params(cfg, 3)
         good = make_batch(4)
-        bad = (TokenSeq((5, 6), "source"), TokenSeq((7, 7, 7), "target"))
+        bad = (TokenSeq((5, 6)), TokenSeq((7, 7, 7)))
         v_good = validation_loss(p, cfg, good, hyper)
         v_mixed = validation_loss(p, cfg, list(good) + [bad], hyper)
         assert v_good == pytest.approx(v_mixed)
@@ -244,8 +255,8 @@ class TestTrainModel:
     ], ids=["ctc", "at", "length"])
     def test_over_long_pair_skipped_in_every_mode(self, tmp_path, mode_kw, src_len, tgt_len):
         pairs = synth_task(6, (3, 4), 1, seed=2, n_words=10).pairs
-        long_pair = (TokenSeq(tuple(range(5, 5 + src_len)), "source"),
-                     TokenSeq(tuple(range(14, 14 - tgt_len, -1)), "target"))
+        long_pair = (TokenSeq(tuple(range(5, 5 + src_len))),
+                     TokenSeq(tuple(range(14, 14 - tgt_len, -1))))
         corpus = ParallelCorpus(pairs + (long_pair,))
         cfg = small_cfg(max_len=8, **mode_kw)
         hyper = TrainConfig(steps=3, batch_size=7, warmup=1, eval_every=3, seed=1, glat_start=0.5)
@@ -258,4 +269,4 @@ class TestTrainModel:
     def test_empty_corpus_rejected(self):
         cfg = small_cfg()
         with pytest.raises(ValueError):
-            train_model(ParallelCorpus((), name="empty", seed=0, modes=1), cfg, TrainConfig())
+            train_model(ParallelCorpus(()), cfg, TrainConfig())
