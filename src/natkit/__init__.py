@@ -17,12 +17,3 @@ Everything is numpy + stdlib, single threaded, and deterministic given seeds.
 """
 
 __version__ = "0.1.0"
-
-from natkit.corpus import ParallelCorpus, TokenSeq, Vocabulary
-
-__all__ = [
-    "__version__",
-    "Vocabulary",
-    "TokenSeq",
-    "ParallelCorpus",
-]

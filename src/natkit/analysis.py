@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .metrics import MetricError, levenshtein
+from .metrics import _check_corpus, levenshtein
 
 
 def _tokens(sentence) -> list:
@@ -25,10 +25,7 @@ def levenshtein_histogram(hyps: Sequence, refs: Sequence) -> np.ndarray:
     Entry ``d`` of the result is the number of pairs at distance exactly
     ``d``; the array spans 0..max distance observed.
     """
-    if len(hyps) != len(refs):
-        raise MetricError(f"corpus sizes differ: {len(hyps)} hypotheses, {len(refs)} references")
-    if not hyps:
-        raise MetricError("empty corpus")
+    _check_corpus(hyps, refs)
     dists = [levenshtein(_tokens(h), _tokens(r)) for h, r in zip(hyps, refs)]
     return np.bincount(dists)
 

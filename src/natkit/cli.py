@@ -15,6 +15,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -33,7 +34,7 @@ from .corpus import (
 )
 from .ctc import InfeasibleTargetError
 from .metrics import DEFAULT_BLEU_BUCKETS, METRICS, MetricError, bucketed_bleu
-from .model import ForwardCounter, ModelConfig, ModelError, decode, decode_at
+from .model import ForwardCounter, ModelConfig, ModelError, decode
 from .significance import SignificanceError, SystemRun, format_table, mark_table
 from .training import DivergedError, TrainConfig, train_model, validation_loss
 
@@ -173,13 +174,17 @@ def _checked_lines(path) -> list[str]:
         raise InputError(f"file not found: {path}") from None
 
 
-def _aligned(hyp_path, ref_path):
-    hyps = _checked_lines(hyp_path)
-    refs = _checked_lines(ref_path)
+def _check_aligned(hyps, refs, hyp_path, ref_path) -> None:
     if len(hyps) != len(refs):
         raise InputError(
             f"line counts differ: {hyp_path} has {len(hyps)}, {ref_path} has {len(refs)}"
         )
+
+
+def _aligned(hyp_path, ref_path):
+    hyps = _checked_lines(hyp_path)
+    refs = _checked_lines(ref_path)
+    _check_aligned(hyps, refs, hyp_path, ref_path)
     return hyps, refs
 
 
@@ -200,12 +205,6 @@ def _metric_names(raw: str) -> list[str]:
             raise InputError(f"unknown metric {part.strip()!r}; choose from bleu, chrfpp, ter")
         names.append(name)
     return names
-
-
-def _decoder_for(params, config: ModelConfig, counter: ForwardCounter | None = None):
-    if config.mode == "at":
-        return lambda ids: decode_at(params, config, ids, counter=counter)
-    return lambda ids: decode(params, config, ids, counter=counter)
 
 
 def _decode_lines(decoder, sources, src_path) -> list:
@@ -284,10 +283,7 @@ def cmd_signif(args) -> int:
         block = []
         for label, hyp_path in spec_block:
             hyps = _checked_lines(hyp_path)
-            if len(hyps) != len(refs):
-                raise InputError(
-                    f"line counts differ: {hyp_path} has {len(hyps)}, {args.ref} has {len(refs)}"
-                )
+            _check_aligned(hyps, refs, hyp_path, args.ref)
             block.append(SystemRun(label, tuple(hyps)))
         blocks.append(block)
     names = _metric_names(args.metric)
@@ -331,7 +327,7 @@ def cmd_decode(args) -> int:
     params, config, vocab, _ = load_checkpoint(args.checkpoint)
     sources = _encode_sources(vocab, _checked_lines(args.src), args.src)
     counter = ForwardCounter()
-    decoder = _decoder_for(params, config, counter)
+    decoder = partial(decode, params, config, counter=counter)
     hyp_lines = [detokenize(vocab, ids) for ids in _decode_lines(decoder, sources, args.src)]
     _emit("".join(line + "\n" for line in hyp_lines), args.out)
     sys.stdout.write(f"decoded {len(sources)} sentences in {counter.passes} decoder passes\n")
@@ -395,7 +391,7 @@ def cmd_bench(args) -> int:
     for label, ckpt in systems:
         params, config, vocab, _ = load_checkpoint(ckpt)
         sources = _encode_sources(vocab, lines, args.src)
-        decoder = _decoder_for(params, config)
+        decoder = partial(decode, params, config)
         try:
             stats.append(
                 time_decode(decoder, sources, runs=args.runs, warmup=args.warmup, label=label)

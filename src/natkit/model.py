@@ -244,29 +244,51 @@ def _drop_back(d: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return d if mask is None else d * mask
 
 
-def _attn_forward(x, mem, Wq, Wk, Wv, causal: bool):
+# ---------------------------------------------------------------------------
+# Residual sublayers, each beside its gradient
+# ---------------------------------------------------------------------------
+
+def _attention(params, config: ModelConfig, prefix, x, mem, causal: bool, train, rng):
+    """``x + dropout(attention(x, mem))``: queries from ``x``, keys and values from ``mem``."""
     scale = 1.0 / math.sqrt(x.shape[1])
-    q, k, v = x @ Wq, mem @ Wk, mem @ Wv
+    q, k, v = x @ params[prefix + "q"], mem @ params[prefix + "k"], mem @ params[prefix + "v"]
     scores = (q @ k.T) * scale
     if causal:
         scores = np.where(np.tril(np.ones_like(scores, dtype=bool)), scores, -np.inf)
     A = _softmax_rows(scores)
-    return A @ v, (x, mem, q, k, v, A, scale)
+    o, mask = _dropout(A @ v, config.dropout, train, rng)
+    return x + o, (x, mem, q, k, v, A, scale, mask)
 
 
-def _attn_backward(dout, cache, Wq, Wk, Wv):
-    x, mem, q, k, v, A, scale = cache
-    dA = dout @ v.T
-    dv = A.T @ dout
-    dS = _softmax_back(A, dA)
+def _attention_back(params, prefix, dx, cache, grads: Params):
+    """Gradients of :func:`_attention` at ``x`` (residual included) and at ``mem``."""
+    x, mem, q, k, v, A, scale, mask = cache
+    do = _drop_back(dx, mask)
+    dv = A.T @ do
+    dS = _softmax_back(A, do @ v.T)
     dq = (dS @ k) * scale
     dk = (dS.T @ q) * scale
-    dWq = x.T @ dq
-    dWk = mem.T @ dk
-    dWv = mem.T @ dv
-    dx = dq @ Wq.T
-    dmem = dk @ Wk.T + dv @ Wv.T
-    return dx, dmem, dWq, dWk, dWv
+    grads[prefix + "q"] += x.T @ dq
+    grads[prefix + "k"] += mem.T @ dk
+    grads[prefix + "v"] += mem.T @ dv
+    dmem = dk @ params[prefix + "k"].T + dv @ params[prefix + "v"].T
+    return dx + dq @ params[prefix + "q"].T, dmem
+
+
+def _ffn(params, config: ModelConfig, prefix, x, train, rng):
+    """``x + dropout(act(x W + b))``."""
+    z = x @ params[prefix + "W"] + params[prefix + "b"]
+    a, mask = _dropout(_act(config.activation, z), config.dropout, train, rng)
+    return x + a, (x, z, mask)
+
+
+def _ffn_back(params, config: ModelConfig, prefix, dx, cache, grads: Params):
+    """Gradient of :func:`_ffn` at ``x``, residual included."""
+    x, z, mask = cache
+    dz = _drop_back(dx, mask) * _act_grad(config.activation, z)
+    grads[prefix + "W"] += x.T @ dz
+    grads[prefix + "b"] += dz.sum(axis=0)
+    return dx + dz @ params[prefix + "W"].T
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +370,8 @@ def _encode(params, config: ModelConfig, src_ids, train, rng):
     x, in_mask = _dropout(x0, config.dropout, train, rng)
     layers = []
     for l in range(config.enc_layers):
-        z = x @ params[f"enc{l}_W"] + params[f"enc{l}_b"]
-        a = _act(config.activation, z)
-        a_d, mask = _dropout(a, config.dropout, train, rng)
-        layers.append({"x_in": x, "z": z, "mask": mask})
-        x = x + a_d
+        x, ffn = _ffn(params, config, f"enc{l}_", x, train, rng)
+        layers.append(ffn)
     cache = {"src": src, "in_mask": in_mask, "layers": layers}
     length_logits = None
     if config.mode == "length":
@@ -362,12 +381,10 @@ def _encode(params, config: ModelConfig, src_ids, train, rng):
     return x, length_logits, cache
 
 
-def _decode_stack(params, config: ModelConfig, enc_out, base, train, rng, counter):
+def _decode_stack(params, config: ModelConfig, enc_out, base, train, rng):
     T = base.shape[0]
     if T > config.max_len:
         raise ModelError(f"decoder length {T} exceeds max_len={config.max_len}")
-    if counter is not None:
-        counter.tick()
     E = params["emb"]
     x0 = base + params["pos_dec"][:T]
     x, in_mask = _dropout(x0, config.dropout, train, rng)
@@ -375,25 +392,11 @@ def _decode_stack(params, config: ModelConfig, enc_out, base, train, rng, counte
     for l in range(config.dec_layers):
         entry: dict = {}
         if config.dec_self_attention[l]:
-            o, sc = _attn_forward(
-                x, x, params[f"dec{l}_sq"], params[f"dec{l}_sk"], params[f"dec{l}_sv"],
-                causal=config.autoregressive,
+            x, entry["self"] = _attention(
+                params, config, f"dec{l}_s", x, x, config.autoregressive, train, rng
             )
-            o_d, mask = _dropout(o, config.dropout, train, rng)
-            entry["self"] = (sc, mask)
-            x = x + o_d
-        o, cc = _attn_forward(
-            x, enc_out, params[f"dec{l}_cq"], params[f"dec{l}_ck"], params[f"dec{l}_cv"],
-            causal=False,
-        )
-        o_d, mask = _dropout(o, config.dropout, train, rng)
-        entry["cross"] = (cc, mask)
-        x = x + o_d
-        z = x @ params[f"dec{l}_W"] + params[f"dec{l}_b"]
-        a = _act(config.activation, z)
-        a_d, mask = _dropout(a, config.dropout, train, rng)
-        entry["ffn"] = {"x_in": x, "z": z, "mask": mask}
-        x = x + a_d
+        x, entry["cross"] = _attention(params, config, f"dec{l}_c", x, enc_out, False, train, rng)
+        x, entry["ffn"] = _ffn(params, config, f"dec{l}_", x, train, rng)
         layers.append(entry)
         hidden.append(x)
         logits.append(x @ E.T)
@@ -411,7 +414,6 @@ def forward(
     glance: GlanceMask | None = None,
     train: bool = False,
     rng: np.random.Generator | None = None,
-    counter: ForwardCounter | None = None,
 ) -> LayerStates:
     """Full pass: encoder, length head (length mode), decoder stack, logits.
 
@@ -429,7 +431,7 @@ def forward(
             raise ModelError("glancing applies to parallel decoding only")
     else:
         base, in_cache = decoder_inputs(params, config, src_ids, decoder_len, glance)
-    logits, dec_cache = _decode_stack(params, config, enc_out, base, train, rng, counter)
+    logits, dec_cache = _decode_stack(params, config, enc_out, base, train, rng)
     cache = {
         "config": config,
         "enc": enc_cache,
@@ -476,28 +478,12 @@ def backward(
             dE += dl.T @ hidden[l]
             dx = dx + dl @ E
         entry = dec["layers"][l]
-        ffn = entry["ffn"]
-        da = _drop_back(dx, ffn["mask"])
-        dz = da * _act_grad(config.activation, ffn["z"])
-        grads[f"dec{l}_W"] += ffn["x_in"].T @ dz
-        grads[f"dec{l}_b"] += dz.sum(axis=0)
-        dx = dx + dz @ params[f"dec{l}_W"].T
-        cc, mask = entry["cross"]
-        do = _drop_back(dx, mask)
-        dxa, dmem, dWq, dWk, dWv = _attn_backward(do, cc, params[f"dec{l}_cq"], params[f"dec{l}_ck"], params[f"dec{l}_cv"])
-        grads[f"dec{l}_cq"] += dWq
-        grads[f"dec{l}_ck"] += dWk
-        grads[f"dec{l}_cv"] += dWv
+        dx = _ffn_back(params, config, f"dec{l}_", dx, entry["ffn"], grads)
+        dx, dmem = _attention_back(params, f"dec{l}_c", dx, entry["cross"], grads)
         denc += dmem
-        dx = dx + dxa
         if "self" in entry:
-            sc, mask = entry["self"]
-            do = _drop_back(dx, mask)
-            dxa, dmem_self, dWq, dWk, dWv = _attn_backward(do, sc, params[f"dec{l}_sq"], params[f"dec{l}_sk"], params[f"dec{l}_sv"])
-            grads[f"dec{l}_sq"] += dWq
-            grads[f"dec{l}_sk"] += dWk
-            grads[f"dec{l}_sv"] += dWv
-            dx = dx + dxa + dmem_self
+            dx, dmem = _attention_back(params, f"dec{l}_s", dx, entry["self"], grads)
+            dx = dx + dmem
 
     dx0 = _drop_back(dx, dec["in_mask"])
     grads["pos_dec"][:T] += dx0
@@ -518,12 +504,7 @@ def backward(
     enc = cache["enc"]
     dx = denc
     for l in range(config.enc_layers - 1, -1, -1):
-        layer = enc["layers"][l]
-        da = _drop_back(dx, layer["mask"])
-        dz = da * _act_grad(config.activation, layer["z"])
-        grads[f"enc{l}_W"] += layer["x_in"].T @ dz
-        grads[f"enc{l}_b"] += dz.sum(axis=0)
-        dx = dx + dz @ params[f"enc{l}_W"].T
+        dx = _ffn_back(params, config, f"enc{l}_", dx, enc["layers"][l], grads)
     dx0 = _drop_back(dx, enc["in_mask"])
     J = len(enc["src"])
     grads["pos_enc"][:J] += dx0
@@ -642,10 +623,14 @@ def decode(
     src_ids: Sequence[int],
     counter: ForwardCounter | None = None,
 ) -> tuple[int, ...]:
-    """One parallel pass: collapse the argmax string (alignment mode) or read
-    the argmax at each of the predicted-length positions (length mode)."""
+    """Greedy decoding in any mode; ``counter`` ticks once per decoder pass.
+
+    An autoregressive config runs :func:`decode_at`'s cached loop. Otherwise
+    one parallel pass collapses the argmax string (alignment mode) or reads
+    the argmax at each predicted-length position (length mode).
+    """
     if config.autoregressive:
-        raise ModelError("use decode_at for the autoregressive baseline")
+        return decode_at(params, config, src_ids, counter=counter)
     enc_out, length_logits, _ = _encode(params, config, src_ids, train=False, rng=None)
     if config.mode == "ctc":
         T = len(src_ids) * int(config.upsample)
@@ -654,7 +639,9 @@ def decode(
         if T == 0:
             return ()
     base, _ = decoder_inputs(params, config, src_ids, T)
-    logits, _ = _decode_stack(params, config, enc_out, base, train=False, rng=None, counter=counter)
+    logits, _ = _decode_stack(params, config, enc_out, base, train=False, rng=None)
+    if counter is not None:
+        counter.tick()
     ids = np.argmax(logits[-1], axis=1)
     if config.mode == "ctc":
         return collapse(ids, BLANK_ID)

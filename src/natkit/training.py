@@ -132,7 +132,7 @@ def _sentence_pass(
     tgt: TokenSeq,
     hyper: TrainConfig,
     lam: float | None,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     train: bool,
 ):
     """Loss and parameter gradients for one pair; None when skipped.
@@ -254,11 +254,10 @@ def validation_loss(
     hyper: TrainConfig,
 ) -> float:
     """Mean eval-mode loss without glancing; skipped pairs are ignored."""
-    rng = np.random.default_rng(0)  # unused in eval mode, keeps the API uniform
     vals = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for src, tgt in pairs:
-            out = _sentence_pass(params, config, src, tgt, hyper, lam=None, rng=rng, train=False)
+            out = _sentence_pass(params, config, src, tgt, hyper, lam=None, rng=None, train=False)
             if out is not None:
                 vals.append(out[0])
     return float(np.mean(vals)) if vals else float("nan")
@@ -317,7 +316,7 @@ def train_model(
             snapshots.sort(key=lambda s: (s[0], s[1]))
             del snapshots[hyper.keep_best:]
 
-    averaged = average_params([s[2] for s in snapshots]) if snapshots else params
+    averaged = average_params([s[2] for s in snapshots])
     if log_path is not None:
         with open(log_path, "w", encoding="utf-8") as fh:
             for rec in log:
@@ -327,5 +326,5 @@ def train_model(
         final_params=params,
         log=log,
         val_history=val_history,
-        n_averaged=len(snapshots) if snapshots else 1,
+        n_averaged=len(snapshots),
     )

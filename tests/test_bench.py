@@ -1,7 +1,9 @@
 import time
+from fractions import Fraction
 
 import pytest
 
+import natkit.bench
 from natkit.bench import BenchError, LatencyStats, format_bench_table, speedup, time_decode
 
 CORPUS = ["s1", "s2", "s3", "s4", "s5"]
@@ -13,6 +15,29 @@ def sleeper(seconds):
         return sentence
 
     return decode
+
+
+class FakeClock:
+    """Stands in for ``natkit.bench``'s ``time``; decoders advance it by hand.
+
+    It counts in exact fractions of a second, so every run reads the same.
+    """
+
+    def __init__(self):
+        self.now = Fraction(0)
+
+    def perf_counter(self):
+        return self.now
+
+    def advance_ms(self, ms):
+        self.now += Fraction(ms, 1000)
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(natkit.bench, "time", fake)
+    return fake
 
 
 class TestTimeDecode:
@@ -31,20 +56,22 @@ class TestTimeDecode:
         stats = time_decode(sleeper(0.001), CORPUS, runs=3, warmup=0)
         assert stats.std_ms >= 0.0
 
-    def test_per_sentence_mean_scale_invariant(self):
-        one = time_decode(sleeper(0.002), CORPUS, runs=2, warmup=1)
-        two = time_decode(sleeper(0.002), CORPUS * 2, runs=2, warmup=1)
-        assert two.mean_ms == pytest.approx(one.mean_ms, rel=0.2)
+    def test_per_sentence_mean_scale_invariant(self, clock):
+        for corpus in (CORPUS, CORPUS * 2):
+            stats = time_decode(lambda s: clock.advance_ms(2), corpus, runs=2, warmup=1)
+            assert stats.mean_ms == pytest.approx(2.0, abs=1e-9)
+            assert stats.std_ms == 0.0
 
-    def test_warmup_excluded_from_timing(self):
+    def test_warmup_excluded_from_timing(self, clock):
         calls = {"n": 0}
 
         def cold_start(sentence):
             calls["n"] += 1
-            time.sleep(0.050 if calls["n"] <= 3 else 0.001)
+            clock.advance_ms(50 if calls["n"] <= 3 else 2)
 
         stats = time_decode(cold_start, CORPUS, runs=1, warmup=3)
-        assert stats.mean_ms < 25.0
+        assert stats.mean_ms == pytest.approx(2.0, abs=1e-9)
+        assert stats.std_ms == 0.0
 
     def test_every_sentence_decoded_each_run(self):
         seen = []

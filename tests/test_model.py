@@ -486,11 +486,6 @@ class TestDecode:
         al[7] = 2.0
         assert predicted_length(a, 5, al) == 7
 
-    def test_decode_rejects_at_config(self):
-        c = cfg(autoregressive=True)
-        with pytest.raises(ModelError):
-            decode(init_params(c, 0), c, SRC)
-
 
 class TestDecodeAt:
     def rigged_eos_params(self, c):
@@ -548,6 +543,16 @@ class TestDecodeAt:
                         dropout=dropout, autoregressive=True, max_len=max_len)
         src = tuple(data.draw(st.lists(st.integers(5, vocab_size - 1), min_size=1, max_size=max_len)))
         p = init_params(c, seed)
+        if max_extra == 8:
+            # decode serves an autoregressive config through decode_at's default cap
+            runs = []
+            for fn in (decode, decode_at):
+                counter = ForwardCounter()
+                try:
+                    runs.append((fn(p, c, src, counter=counter), counter.passes))
+                except ModelError as exc:
+                    runs.append((str(exc), counter.passes))
+            assert runs[0] == runs[1]
         cap = 2 * len(src) + max_extra
         counter = ForwardCounter()
         try:
