@@ -33,7 +33,7 @@ from .corpus import (
     write_parallel,
 )
 from .ctc import InfeasibleTargetError
-from .metrics import DEFAULT_BLEU_BUCKETS, METRICS, MetricError, bucketed_bleu
+from .metrics import DEFAULT_BLEU_BUCKETS, DEFAULT_METRIC, METRICS, MetricError, bucketed_bleu
 from .model import ForwardCounter, ModelConfig, ModelError, decode
 from .significance import SignificanceError, SystemRun, format_table, mark_table
 from .training import DivergedError, TrainConfig, train_model, validation_loss
@@ -195,14 +195,18 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+# names accepted besides the METRICS keys: chrF++ by its own name
+_METRIC_ALIASES = {"chrfpp": "chrf"}
+
+
 def _metric_names(raw: str) -> list[str]:
     names = []
     for part in raw.split(","):
         name = part.strip().lower()
-        if name == "chrfpp":
-            name = "chrf"
+        name = _METRIC_ALIASES.get(name, name)
         if name not in METRICS:
-            raise InputError(f"unknown metric {part.strip()!r}; choose from bleu, chrfpp, ter")
+            choices = ", ".join(sorted([*METRICS, *_METRIC_ALIASES]))
+            raise InputError(f"unknown metric {part.strip()!r}; choose from {choices}")
         names.append(name)
     return names
 
@@ -430,8 +434,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.len_min < 1 or args.len_max < args.len_min:
-        raise InputError(f"bad length range [{args.len_min}, {args.len_max}]")
     vocab = synth_vocab(args.n_words)
     corpus = synth_task(
         args.n, (args.len_min, args.len_max), args.modes, args.seed, n_words=args.n_words
@@ -467,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("signif", help="paired bootstrap comparison table")
     p.add_argument("--spec", required=True, help="blocks of 'label<TAB>hypfile' rows")
     p.add_argument("--ref", required=True)
-    p.add_argument("--metric", default="bleu")
+    p.add_argument("--metric", default=DEFAULT_METRIC)
     p.add_argument("--n-resamples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -529,26 +531,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except (
-        CorpusError,
-        MetricError,
-        SignificanceError,
-        BenchError,
-        CheckpointError,
-        InfeasibleTargetError,
-        ModelError,
-    ) as exc:
+    except (InputError, CorpusError, MetricError, SignificanceError, BenchError,
+            CheckpointError, InfeasibleTargetError, ModelError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except DivergedError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INTERNAL
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

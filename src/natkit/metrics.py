@@ -1,17 +1,23 @@
 """Corpus evaluation metrics with resampling-friendly sentence statistics.
 
 Each metric reduces a (hypothesis, reference) corpus to a per-sentence
-sufficient-statistics matrix and computes the corpus score from the column
-sums, so any row subset (e.g. a bootstrap resample) can be rescored without
-touching the original strings:
+matrix of integer sufficient statistics and scores the corpus from its
+column sums.  The :class:`ScoreReport` keeps the matrix, so any reweighting
+of the sentences (a bootstrap resample's draw counts, or a 0/1 mask that
+picks a subset) is rescored without touching the original strings:
 
-    corpus score = score_from_stats(stats.sum(axis=0))
+    scores = report.rescore(weights)    # (R, n) weights -> R corpus scores
+
+Every column is a count, so a 0/1 mask scores its subset exactly as scoring
+the subset afresh would.  Each ``*_score_from_stats`` reads the statistics
+along the last axis: one (k,) vector gives a scalar, (R, k) rows R scores.
 
 ``bleu`` counts clipped n-gram matches (orders 1-4) over 13a tokens with
 exponential smoothing of zero counts and the brevity penalty.  ``chrfpp``
 averages per-order F2 scores of character n-grams (orders 1-6, whitespace
 removed) and word n-grams (orders 1-2, edge punctuation split off).  ``ter``
-counts block shifts plus word edits against the reference length.
+counts block shifts plus word edits against the reference length.  All three
+share one corpus path, which names the 1-based line of a rejected sentence.
 
 The emitted signature strings state the fixed configuration; everything is
 case-sensitive and single-reference.
@@ -20,6 +26,7 @@ case-sensitive and single-reference.
 from collections import Counter
 from dataclasses import dataclass, field
 import string
+from typing import Callable
 
 import numpy as np
 
@@ -57,10 +64,19 @@ class MetricError(ValueError):
 
 @dataclass(frozen=True)
 class ScoreReport:
+    """A corpus score, with the (n, k) sentence statistics it was summed from
+    and the scorer that turns summed statistics into scores."""
+
     metric: str
     value: float
     signature: str
     sentence_stats: np.ndarray = field(repr=False)
+    lower_is_better: bool
+    score_from_stats: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+
+    def rescore(self, weights: np.ndarray) -> np.ndarray:
+        """R corpus scores from (R, n) weights: how often each sentence counts."""
+        return self.score_from_stats(np.asarray(weights, dtype=float) @ self.sentence_stats)
 
     @property
     def n_sentences(self) -> int:
@@ -83,6 +99,22 @@ def _check_corpus(hyps, refs) -> None:
         raise MetricError(f"corpus size mismatch: {len(hyps)} hypotheses, {len(refs)} references")
     if len(hyps) == 0:
         raise MetricError("empty corpus")
+
+
+def _corpus(hyps, refs, metric, signature, sentence_stats, score_from_stats,
+            lower_is_better=False) -> ScoreReport:
+    """One statistics row per line, scored from the column sums; a line's
+    ``MetricError`` is re-raised naming that line."""
+    _check_corpus(hyps, refs)
+    rows = []
+    for line, (h, r) in enumerate(zip(hyps, refs), start=1):
+        try:
+            rows.append(sentence_stats(h, r))
+        except MetricError as e:
+            raise MetricError(e.reason, line=line) from None
+    stats = np.stack(rows)
+    value = float(score_from_stats(stats.sum(axis=0)))
+    return ScoreReport(metric, value, signature, stats, lower_is_better, score_from_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -116,37 +148,33 @@ def _my_log(x: np.ndarray) -> np.ndarray:
 
 
 def bleu_score_from_stats(agg: np.ndarray) -> np.ndarray:
-    """Corpus BLEU from summed stats; accepts one vector or a batch of rows."""
-    agg = np.atleast_2d(np.asarray(agg, dtype=float))
-    correct, total = agg[:, 0:4], agg[:, 4:8]
-    sys_len, ref_len = agg[:, 8], agg[:, 9]
+    """Corpus BLEU of summed stats."""
+    agg = np.asarray(agg, dtype=float)
+    correct, total = agg[..., 0:4], agg[..., 4:8]
+    sys_len, ref_len = agg[..., 8], agg[..., 9]
 
     precisions = np.zeros_like(correct)
-    smooth = np.ones(agg.shape[0])
+    smooth = np.ones(agg.shape[:-1])
     for n in range(4):
-        zero_hit = (correct[:, n] == 0) & (total[:, n] > 0)
+        zero_hit = (correct[..., n] == 0) & (total[..., n] > 0)
         smooth = np.where(zero_hit, smooth * 2, smooth)
         with np.errstate(divide="ignore", invalid="ignore"):
-            plain = 100.0 * correct[:, n] / total[:, n]
-            smoothed = 100.0 / (smooth * total[:, n])
-        precisions[:, n] = np.where(total[:, n] > 0, np.where(zero_hit, smoothed, plain), 0.0)
+            plain = 100.0 * correct[..., n] / total[..., n]
+            smoothed = 100.0 / (smooth * total[..., n])
+        precisions[..., n] = np.where(total[..., n] > 0, np.where(zero_hit, smoothed, plain), 0.0)
 
-    log_avg = _my_log(precisions).mean(axis=1)
+    log_avg = _my_log(precisions).mean(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         bp = np.where(
             sys_len < ref_len,
             np.where(sys_len > 0, np.exp(1.0 - ref_len / np.maximum(sys_len, 1e-300)), 0.0),
             1.0,
         )
-    score = bp * np.exp(np.minimum(log_avg, 700.0))
-    return score if score.shape[0] > 1 else score[0]
+    return bp * np.exp(np.minimum(log_avg, 700.0))
 
 
 def bleu(hyps: list[str], refs: list[str]) -> ScoreReport:
-    _check_corpus(hyps, refs)
-    stats = np.stack([bleu_sentence_stats(h, r) for h, r in zip(hyps, refs)])
-    value = float(bleu_score_from_stats(stats.sum(axis=0)))
-    return ScoreReport("bleu", value, SIG_BLEU, stats)
+    return _corpus(hyps, refs, "bleu", SIG_BLEU, bleu_sentence_stats, bleu_score_from_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +216,13 @@ def chrf_sentence_stats(hyp: str, ref: str) -> np.ndarray:
 
 
 def chrf_score_from_stats(agg: np.ndarray) -> np.ndarray:
-    agg = np.atleast_2d(np.asarray(agg, dtype=float))
+    agg = np.asarray(agg, dtype=float)
     b2 = CHRF_BETA * CHRF_BETA
     n_orders = CHRF_CHAR_ORDER + CHRF_WORD_ORDER
-    f_sum = np.zeros(agg.shape[0])
-    eff = np.zeros(agg.shape[0])
+    f_sum = np.zeros(agg.shape[:-1])
+    eff = np.zeros(agg.shape[:-1])
     for i in range(n_orders):
-        n_hyp, n_ref, n_match = agg[:, 3 * i], agg[:, 3 * i + 1], agg[:, 3 * i + 2]
+        n_hyp, n_ref, n_match = agg[..., 3 * i], agg[..., 3 * i + 1], agg[..., 3 * i + 2]
         active = (n_hyp > 0) & (n_ref > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             prec = np.where(active, n_match / np.maximum(n_hyp, 1), 0.0)
@@ -203,15 +231,11 @@ def chrf_score_from_stats(agg: np.ndarray) -> np.ndarray:
             f = np.where(denom > 0, (1 + b2) * prec * rec / np.maximum(denom, 1e-300), 0.0)
         f_sum += np.where(active, f, 0.0)
         eff += active
-    score = np.where(eff > 0, 100.0 * f_sum / np.maximum(eff, 1), 0.0)
-    return score if score.shape[0] > 1 else score[0]
+    return np.where(eff > 0, 100.0 * f_sum / np.maximum(eff, 1), 0.0)
 
 
 def chrfpp(hyps: list[str], refs: list[str]) -> ScoreReport:
-    _check_corpus(hyps, refs)
-    stats = np.stack([chrf_sentence_stats(h, r) for h, r in zip(hyps, refs)])
-    value = float(chrf_score_from_stats(stats.sum(axis=0)))
-    return ScoreReport("chrf", value, SIG_CHRF, stats)
+    return _corpus(hyps, refs, "chrf", SIG_CHRF, chrf_sentence_stats, chrf_score_from_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -319,46 +343,29 @@ def ter_sentence_stats(hyp: str, ref: str) -> np.ndarray:
 
 
 def ter_score_from_stats(agg: np.ndarray) -> np.ndarray:
-    agg = np.atleast_2d(np.asarray(agg, dtype=float))
+    agg = np.asarray(agg, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        score = np.where(agg[:, 1] > 0, 100.0 * agg[:, 0] / np.maximum(agg[:, 1], 1e-300), 0.0)
-    return score if score.shape[0] > 1 else score[0]
+        return np.where(agg[..., 1] > 0, 100.0 * agg[..., 0] / np.maximum(agg[..., 1], 1e-300), 0.0)
 
 
 def ter(hyps: list[str], refs: list[str]) -> ScoreReport:
-    _check_corpus(hyps, refs)
-    rows = []
-    for line, (h, r) in enumerate(zip(hyps, refs), start=1):
-        try:
-            rows.append(ter_sentence_stats(h, r))
-        except MetricError as e:
-            raise MetricError(e.reason, line=line) from None
-    stats = np.stack(rows)
-    value = float(ter_score_from_stats(stats.sum(axis=0)))
-    return ScoreReport("ter", value, SIG_TER, stats)
+    return _corpus(hyps, refs, "ter", SIG_TER, ter_sentence_stats, ter_score_from_stats,
+                   lower_is_better=True)
 
 
 # ---------------------------------------------------------------------------
 # Registry and bucketing
 # ---------------------------------------------------------------------------
 
+# The one name -> metric table.  The corpus functions look their sentence
+# statistics up by module name at call time, so a wrapper installed at such a
+# name (a profiler's, a test's counter) sees every sentence.
 METRICS = {
     "bleu": bleu,
     "chrf": chrfpp,
     "ter": ter,
 }
-
-SCORERS_FROM_STATS = {
-    "bleu": bleu_score_from_stats,
-    "chrf": chrf_score_from_stats,
-    "ter": ter_score_from_stats,
-}
-
-
-def lower_is_better(metric: str) -> bool:
-    if metric not in METRICS:
-        raise MetricError(f"unknown metric {metric!r}")
-    return metric == "ter"
+DEFAULT_METRIC = "bleu"
 
 
 def bucketed_bleu(hyps, refs, edges=DEFAULT_BLEU_BUCKETS):
@@ -366,18 +373,18 @@ def bucketed_bleu(hyps, refs, edges=DEFAULT_BLEU_BUCKETS):
 
     ``edges`` are ascending lower bounds; the last bucket is open-ended.
     Returns (label, score or None, count) per bucket; empty buckets score None.
-    The corpus is scored once; each bucket rescores its rows of the sentence
-    statistics, bucketed by their 13a reference length.
+    The corpus is scored once, and each bucket's 0/1 mask over its sentences,
+    bucketed by their 13a reference length, rescores the report.
     """
     edges = list(edges)
     if edges != sorted(edges) or len(set(edges)) != len(edges):
         raise MetricError("bucket edges must be strictly ascending")
-    stats = bleu(hyps, refs).sentence_stats
-    lengths = stats[:, 9]
-    out = []
-    for lo, hi in zip(edges, edges[1:] + [np.inf]):
-        rows = (lengths >= lo) & (lengths < hi)
-        n = int(np.count_nonzero(rows))
-        value = float(bleu_score_from_stats(stats[rows].sum(axis=0))) if n else None
-        out.append((f"[{lo},{hi})", value, n))
-    return out
+    report = bleu(hyps, refs)
+    lengths = report.sentence_stats[:, 9]
+    buckets = list(zip(edges, edges[1:] + [np.inf]))
+    masks = np.array([(lengths >= lo) & (lengths < hi) for lo, hi in buckets], dtype=float)
+    masks = masks.reshape(len(buckets), len(lengths))
+    return [
+        (f"[{lo},{hi})", float(value) if n else None, int(n))
+        for (lo, hi), value, n in zip(buckets, report.rescore(masks), masks.sum(axis=1))
+    ]

@@ -2,7 +2,9 @@
 
 Two systems are compared by resampling sentence indices with replacement
 (the same indices for both, which is what makes the test paired) and
-recomputing the corpus metric from per-sentence sufficient statistics.
+rescoring each system's :class:`~natkit.metrics.ScoreReport` with the
+resample's draw counts; the report also says which direction is better, so
+nothing here depends on the metric.
 The p-value is one-sided on the observed winner with add-one smoothing:
 p = (losses + 1) / (n_resamples + 1), where a resample counts as a loss
 whenever the winner fails to win it, ties included.
@@ -22,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import METRICS, SCORERS_FROM_STATS, ScoreReport, lower_is_better
+from .metrics import DEFAULT_METRIC, METRICS, ScoreReport
 
 # significance level of every comparison and of the table dagger
 ALPHA = 0.05
@@ -85,7 +87,7 @@ def paired_bootstrap(
     base: SystemRun,
     cand: SystemRun,
     refs: Sequence[str],
-    metric: str = "bleu",
+    metric: str = DEFAULT_METRIC,
     *,
     n_resamples: int = 1000,
     seed: int = 0,
@@ -104,7 +106,7 @@ def paired_bootstrap(
     refs = list(refs)
     report_b = _score(base, refs, metric)
     report_c = _score(cand, refs, metric)
-    sign = -1.0 if lower_is_better(metric) else 1.0
+    sign = -1.0 if report_b.lower_is_better else 1.0
     delta = sign * (report_c.value - report_b.value)
     winner = "tie" if delta == 0 else ("cand" if delta > 0 else "base")
 
@@ -112,8 +114,7 @@ def paired_bootstrap(
         p = 1.0
     else:
         counts = _resample_counts(np.random.default_rng(seed), n_resamples, n)
-        score = SCORERS_FROM_STATS[metric]
-        diff = sign * (score(counts @ report_c.sentence_stats) - score(counts @ report_b.sentence_stats))
+        diff = sign * (report_c.rescore(counts) - report_b.rescore(counts))
         wins = diff > 0 if winner == "cand" else diff < 0
         losses = n_resamples - int(np.count_nonzero(wins))
         p = (losses + 1) / (n_resamples + 1)
@@ -146,7 +147,7 @@ def _parent_label(label: str, root: str) -> str:
 def mark_table(
     blocks: Sequence[Sequence[SystemRun]],
     refs: Sequence[str],
-    metric: str = "bleu",
+    metric: str = DEFAULT_METRIC,
     *,
     n_resamples: int = 1000,
     seed: int = 0,

@@ -117,6 +117,10 @@ class TestScore:
         ref = tmp_path / "ref.txt"
         ref.write_text("a\n")
         assert main(["score", "--hyp", str(ref), "--ref", str(ref), "--metrics", "comet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown metric 'comet'; choose from ")
+        for name in ("bleu", "chrfpp", "ter"):
+            assert name in err.split("choose from ")[1].strip().split(", ")
 
     def test_empty_reference_line_named_exit_2(self, tmp_path, capsys):
         hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
@@ -530,6 +534,8 @@ class TestSynth:
         assert main(
             ["synth", "--out-dir", str(tmp_path / "o"), "--len-min", "5", "--len-max", "3"]
         ) == 2
+        assert capsys.readouterr().err == "error: bad source length range (5, 3)\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestTopLevel:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from natkit import metrics
 from natkit.metrics import (
+    METRICS,
     MetricError,
     SIG_BLEU,
     SIG_CHRF,
@@ -17,7 +19,6 @@ from natkit.metrics import (
     chrf_score_from_stats,
     chrfpp,
     levenshtein,
-    lower_is_better,
     ter,
     ter_score_from_stats,
     ter_sentence_edits,
@@ -312,11 +313,77 @@ class TestBucketedBleu:
         with pytest.raises(MetricError):
             bucketed_bleu(["a"], ["a"], edges=(5, 2))
 
+    def test_buckets_equal_their_subsets_scored_alone(self):
+        rng = np.random.default_rng(3)
+        words = [f"w{i}" for i in range(8)]
+        refs = [" ".join(rng.choice(words, size=rng.integers(1, 25))) for _ in range(60)]
+        hyps = [" ".join(w if rng.random() > 0.3 else "zz" for w in r.split()) for r in refs]
+        edges = (0, 5, 10, 15, 20)
+        lengths = [len(r.split()) for r in refs]
+        buckets = bucketed_bleu(hyps, refs, edges=edges)
+        for lo, hi, (_, value, n) in zip(edges, edges[1:] + (np.inf,), buckets):
+            rows = [i for i, m in enumerate(lengths) if lo <= m < hi]
+            assert n == len(rows) > 0
+            assert value == bleu([hyps[i] for i in rows], [refs[i] for i in rows]).value
+
 
 class TestRegistry:
-    def test_directions(self):
-        assert lower_is_better("ter")
-        assert not lower_is_better("bleu")
-        assert not lower_is_better("chrf")
-        with pytest.raises(MetricError):
-            lower_is_better("comet")
+    def test_keys_name_their_reports(self):
+        for name, score in METRICS.items():
+            assert score(IDENT, IDENT).metric == name
+
+    def test_report_direction(self):
+        assert ter(IDENT, IDENT).lower_is_better
+        assert not bleu(IDENT, IDENT).lower_is_better
+        assert not chrfpp(IDENT, IDENT).lower_is_better
+
+    @pytest.mark.parametrize("name", list(METRICS))
+    def test_sentence_stats_looked_up_at_call_time(self, monkeypatch, name):
+        # a wrapper installed at the module name (a profiler's) must see every line
+        hyps, refs = ["a b c", "d e", "f"], ["a b d", "d e", "g h"]
+        calls = {key: [] for key in METRICS}
+        for key in METRICS:
+            original = getattr(metrics, f"{key}_sentence_stats")
+
+            def counted(hyp, ref, key=key, original=original):
+                calls[key].append((hyp, ref))
+                return original(hyp, ref)
+
+            monkeypatch.setattr(metrics, f"{key}_sentence_stats", counted)
+        METRICS[name](hyps, refs)
+        assert calls == {key: list(zip(hyps, refs)) if key == name else [] for key in METRICS}
+
+    @pytest.mark.parametrize("name", list(METRICS))
+    def test_rejected_sentence_names_its_line(self, monkeypatch, name):
+        original = getattr(metrics, f"{name}_sentence_stats")
+
+        def picky(hyp, ref):
+            if hyp == "bad":
+                raise MetricError("rejected")
+            return original(hyp, ref)
+
+        monkeypatch.setattr(metrics, f"{name}_sentence_stats", picky)
+        with pytest.raises(MetricError, match="^line 3: rejected$") as info:
+            METRICS[name](["a", "b", "bad", "bad"], ["a", "b", "c", "d"])
+        assert (info.value.line, info.value.reason) == (3, "rejected")
+
+
+class TestRescore:
+    SCORERS = [(bleu_score_from_stats, 10), (chrf_score_from_stats, 24), (ter_score_from_stats, 2)]
+
+    @pytest.mark.parametrize("score, k", SCORERS, ids=["bleu", "chrf", "ter"])
+    def test_shape_follows_input_ndim(self, score, k):
+        agg = np.arange(1, k + 1, dtype=float)
+        assert np.shape(score(agg)) == ()
+        assert np.shape(score(agg[None, :])) == (1,)
+        assert np.shape(score(np.stack([agg, agg, agg]))) == (3,)
+        assert score(agg[None, :])[0] == score(agg)
+
+    @pytest.mark.parametrize("name", list(METRICS))
+    def test_weights_rescore_the_corpus(self, name):
+        hyps = ["a b c d", "e f g", "h i j k l"]
+        refs = ["a b x d", "e f g", "h j i k l"]
+        report = METRICS[name](hyps, refs)
+        assert report.rescore(np.ones((1, 3))).tolist() == [report.value]
+        singles = report.rescore(np.eye(3))
+        assert singles.tolist() == [METRICS[name]([h], [r]).value for h, r in zip(hyps, refs)]
