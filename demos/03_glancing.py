@@ -10,21 +10,17 @@ per-position argmax string.
 
 import numpy as np
 
-from natkit.glancing import (
-    GlanceSchedule,
-    glance_count,
-    glance_inputs_ctc,
-    hamming,
-    sample_glance,
-)
+from natkit.glancing import glance_count, glance_inputs_ctc, hamming, sample_glance
+from natkit.training import TrainConfig
 
 
 def main():
     U = 1000
-    sched = GlanceSchedule(lambda_start=0.5, lambda_slope=0.2, max_steps=U)
+    # the ratio a training run reads off its config at each step
+    hyper = TrainConfig(steps=U, glat_start=0.5, glat_slope=0.2)
     print("ratio decay over training:")
     for u in (0, 250, 500, 750, 1000):
-        print(f"  step {u:>4}: lambda = {sched.at(u).value():.3f}")
+        print(f"  step {u:>4}: lambda = {hyper.glance_ratio(u):.3f}")
     print()
 
     target = (7, 8, 9, 10, 11, 12)
@@ -43,7 +39,7 @@ def main():
     probs = np.random.default_rng(1).uniform(0.1, 1.0, size=(7, 13))
     probs /= probs.sum(axis=1, keepdims=True)
     table = np.log(probs)
-    mask, aligned = glance_inputs_ctc((7, 8, 9), table, sched.at(400).value(), rng)
+    mask, aligned = glance_inputs_ctc((7, 8, 9), table, hyper.glance_ratio(400), rng)
     print(f"viterbi-aligned target over {len(aligned)} table positions: {aligned}")
     print(f"reveals drawn from it: positions {mask.positions}, tokens {mask.revealed}")
     print()

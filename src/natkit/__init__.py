@@ -3,10 +3,10 @@
 The package is organized around small, independently testable pieces:
 
 - :mod:`natkit.corpus` -- vocabularies, tokenization, synthetic parallel data
-- :mod:`natkit.ctc` -- alignment lattice kernels (marginal, gradient, Viterbi)
-- :mod:`natkit.glancing` -- glancing schedule and mask sampling
-- :mod:`natkit.model` -- micro encoder-decoder with hand-written gradients
-- :mod:`natkit.training` -- Adam, schedules, the two-pass training step
+- :mod:`natkit.ctc` -- alignment lattice kernels (marginal, posteriors, loss, Viterbi)
+- :mod:`natkit.glancing` -- reveal counts and mask sampling, in target or alignment space
+- :mod:`natkit.model` -- micro encoder-decoder with hand-written gradients, one token loss
+- :mod:`natkit.training` -- Adam, the lr and glancing schedules, the two-pass training step
 - :mod:`natkit.metrics` -- BLEU / chrF++ / TER with pinned signatures
 - :mod:`natkit.significance` -- paired bootstrap resampling and table marking
 - :mod:`natkit.bench` -- batch-size-1 latency harness

@@ -156,15 +156,6 @@ def ctc_posteriors(table: np.ndarray, target: Sequence[int], blank: int = BLANK_
     return _posteriors(np.asarray(table, dtype=np.float64), _check_target(target, blank), blank)[0]
 
 
-def ctc_grad(table: np.ndarray, target: Sequence[int], blank: int = BLANK_ID) -> np.ndarray:
-    """Gradient of the negative log marginal w.r.t. the table entries.
-
-    Entries are treated as free log-probability variables, so the gradient is
-    minus the occupancy posterior and each row sums to -1.
-    """
-    return -ctc_posteriors(table, target, blank)
-
-
 def ctc_loss_logits(logits: np.ndarray, target: Sequence[int], blank: int = BLANK_ID) -> tuple[float, np.ndarray]:
     """Negative log marginal on row-softmaxed logits, plus its logit gradient.
 

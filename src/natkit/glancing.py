@@ -1,9 +1,9 @@
 """Glancing: reveal part of the target when the model's first pass is poor.
 
-The schedule interpolates the sampling ratio linearly from ``lambda_start``
-down by ``lambda_slope`` over training: lambda(u) = start - slope * u / U,
-clamped at u = U; ``GlanceSchedule.at(u).value()`` reads it, and the glance
-functions take that float. The number of revealed positions is
+The glance functions take the sampling ratio lambda as a float. Training
+reads it off ``TrainConfig.glance_ratio(step)``, which decays it linearly
+from ``glat_start`` by ``glat_slope`` over training: lambda(u) = start -
+slope * u / U, held at u = U. The number of revealed positions is
 floor(lambda * d) where d is the Hamming distance between the (aligned)
 target and the first-pass prediction; the revealed subset is drawn
 uniformly without replacement.
@@ -16,41 +16,12 @@ argmax string of the same length, and reveals come from the aligned target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from natkit.ctc import viterbi_align
-
-
-@dataclass(frozen=True)
-class GlanceSchedule:
-    """Linear ratio decay over training steps."""
-
-    lambda_start: float = 0.5
-    lambda_slope: float = 0.2
-    step: int = 0
-    max_steps: int = 1
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.lambda_start <= 1.0):
-            raise ValueError(f"lambda_start must be in [0, 1], got {self.lambda_start}")
-        if self.lambda_slope < 0.0:
-            raise ValueError(f"lambda_slope must be >= 0, got {self.lambda_slope}")
-        if self.lambda_start - self.lambda_slope < 0.0:
-            raise ValueError("schedule would go negative at the end of training")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.step < 0:
-            raise ValueError(f"step must be >= 0, got {self.step}")
-
-    def value(self) -> float:
-        u = min(self.step, self.max_steps)
-        return self.lambda_start - self.lambda_slope * (u / self.max_steps)
-
-    def at(self, step: int) -> "GlanceSchedule":
-        return replace(self, step=step)
 
 
 def hamming(a: Sequence[int], b: Sequence[int]) -> int:

@@ -74,6 +74,18 @@ class ScoreReport:
     lower_is_better: bool
     score_from_stats: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
+    def __eq__(self, other: object) -> bool:
+        # field-wise, with the statistics compared as arrays: the generated
+        # __eq__ would truth-test an elementwise comparison and raise
+        if not isinstance(other, ScoreReport):
+            return NotImplemented
+        return (
+            (self.metric, self.value, self.signature, self.lower_is_better, self.score_from_stats)
+            == (other.metric, other.value, other.signature, other.lower_is_better,
+                other.score_from_stats)
+            and np.array_equal(self.sentence_stats, other.sentence_stats)
+        )
+
     def rescore(self, weights: np.ndarray) -> np.ndarray:
         """R corpus scores from (R, n) weights: how often each sentence counts."""
         return self.score_from_stats(np.asarray(weights, dtype=float) @ self.sentence_stats)

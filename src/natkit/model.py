@@ -16,6 +16,11 @@ Architecture (all single head, no layer norm):
 
 Parameters live in a flat ``dict[str, np.ndarray]``; gradients mirror it
 key for key. Forward passes record a cache consumed by :func:`backward`.
+
+Losses come back with gradients in logit space. One token loss,
+:func:`token_loss`, serves every mode and scores one decoder layer's logits;
+training applies it to the last layer, or averages it over every layer for
+deep supervision, and length-mode models add :func:`loss_length`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from natkit.corpus import BLANK_ID, BOS_ID, EOS_ID, UNK_ID
-from natkit.ctc import collapse, ctc_loss_logits, log_softmax
+from natkit.ctc import collapse, ctc_forward, ctc_loss_logits, log_softmax
 from natkit.glancing import GlanceMask
 
 Params = dict[str, np.ndarray]
@@ -516,11 +521,13 @@ def backward(
 # Loss heads (values plus logit-space gradients)
 # ---------------------------------------------------------------------------
 
-def _ce_rows(logits: np.ndarray, targets: np.ndarray, rows: np.ndarray):
-    """Mean cross-entropy over the selected rows; gradient matches."""
+def _ce_rows(logits: np.ndarray, targets: np.ndarray, rows: np.ndarray, grad: bool = True):
+    """Mean cross-entropy over the selected rows; with ``grad``, its logit gradient."""
     logp = log_softmax(logits)
     n = len(rows)
     loss = -float(logp[rows, targets[rows]].sum()) / n
+    if not grad:
+        return loss, None
     dlogits = np.zeros_like(logits)
     probs = np.exp(logp[rows])
     probs[np.arange(n), targets[rows]] -= 1.0
@@ -528,15 +535,27 @@ def _ce_rows(logits: np.ndarray, targets: np.ndarray, rows: np.ndarray):
     return loss, dlogits
 
 
-def loss_nat(
-    states: LayerStates,
-    target: Sequence[int],
+def token_loss(
+    logits: np.ndarray,
+    labels: Sequence[int],
+    ctc: bool = False,
     mask: GlanceMask | None = None,
-    layer: int = -1,
-) -> tuple[float, np.ndarray]:
-    """Position-wise cross-entropy; glanced positions are excluded."""
-    logits = states.logits[layer]
-    target = np.asarray(target, dtype=np.int64)
+    grad: bool = True,
+) -> tuple[float, np.ndarray | None]:
+    """One decoder layer's token loss and, with ``grad``, its logit gradient.
+
+    With ``ctc`` it is the negative log alignment marginal, which glancing
+    leaves whole, so ``mask`` is not read. Otherwise it is the mean
+    position-wise cross-entropy over the positions ``mask`` did not reveal,
+    and 0.0 when it revealed every one. Without ``grad`` the same value comes
+    back with None, and neither posteriors nor a softmax gradient are built;
+    a target CTC cannot align then gives inf instead of raising.
+    """
+    if ctc:
+        if grad:
+            return ctc_loss_logits(logits, labels)
+        return -ctc_forward(log_softmax(logits), labels), None
+    target = np.asarray(labels, dtype=np.int64)
     if logits.shape[0] != len(target):
         raise ModelError(f"decoder length {logits.shape[0]} != target length {len(target)}")
     keep = np.ones(len(target), dtype=bool)
@@ -546,63 +565,26 @@ def loss_nat(
         keep[np.asarray(mask.positions, dtype=np.int64)] = False
     rows = np.nonzero(keep)[0]
     if len(rows) == 0:
-        return 0.0, np.zeros_like(logits)
-    return _ce_rows(logits, target, rows)
+        return 0.0, np.zeros_like(logits) if grad else None
+    return _ce_rows(logits, target, rows, grad)
 
 
-def loss_ctc(states: LayerStates, target: Sequence[int], layer: int = -1) -> tuple[float, np.ndarray]:
-    """Negative log alignment marginal on the layer's logits."""
-    return ctc_loss_logits(states.logits[layer], target)
-
-
-def loss_deep_supervision(
-    states: LayerStates,
-    target: Sequence[int],
-    base: str = "nat",
-    mask: GlanceMask | None = None,
-) -> tuple[float, list[np.ndarray]]:
-    """Mean of the base loss applied at every decoder layer."""
-    L = len(states.logits)
-    total = 0.0
-    dlogits: list[np.ndarray] = []
-    for l in range(L):
-        if base == "nat":
-            val, dl = loss_nat(states, target, mask=mask, layer=l)
-        elif base == "ctc":
-            val, dl = loss_ctc(states, target, layer=l)
-        else:
-            raise ModelError(f"unknown base loss {base!r}")
-        total += val
-        dlogits.append(dl / L)
-    return total / L, dlogits
-
-
-def length_target_class(config: ModelConfig, src_len: int, tgt_len: int) -> int:
+def length_target_class(config: ModelConfig, src_len: int, tgt_len: int) -> tuple[int, bool]:
+    """The length head's class for an observed length, and whether that
+    length fell outside the class range and was clamped into it."""
     if config.length_mode == "offset":
-        off = int(np.clip(tgt_len - src_len, -config.length_bound, config.length_bound))
-        return off + config.length_bound
-    return int(np.clip(tgt_len, 0, config.max_abs_len - 1))
+        raw, top = tgt_len - src_len + config.length_bound, 2 * config.length_bound
+    else:
+        raw, top = tgt_len, config.max_abs_len - 1
+    cls = min(max(raw, 0), top)
+    return cls, cls != raw
 
 
-def length_class_clamped(config: ModelConfig, src_len: int, tgt_len: int) -> bool:
-    """True when the training length falls outside the head's class range."""
-    if config.length_mode == "offset":
-        return abs(tgt_len - src_len) > config.length_bound
-    return tgt_len > config.max_abs_len - 1
-
-
-def loss_length(
-    states: LayerStates,
-    config: ModelConfig,
-    src_len: int,
-    tgt_len: int,
-) -> tuple[float, np.ndarray]:
-    """Cross-entropy of the length head against the observed length."""
+def loss_length(states: LayerStates, cls: int) -> tuple[float, np.ndarray]:
+    """Cross-entropy of the length head against a :func:`length_target_class` class."""
     if states.length_logits is None:
         raise ModelError("model has no length head")
-    logits = states.length_logits[None, :]
-    cls = np.array([length_target_class(config, src_len, tgt_len)])
-    loss, d = _ce_rows(logits, cls, np.array([0]))
+    loss, d = _ce_rows(states.length_logits[None, :], np.array([cls]), np.array([0]))
     return loss, d[0]
 
 

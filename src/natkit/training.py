@@ -4,12 +4,22 @@ The training step is pure given (params, batch, step, seed): per-step RNG is
 derived from the pair, batches touch sentences one at a time, and gradient
 accumulation is plain summation, so reruns are bit-identical single threaded.
 
-Glancing runs as two passes. The first pass decodes in eval mode without
-gradients; its prediction picks how many target positions to reveal. The
-second pass trains with the revealed embeddings substituted into the decoder
-input. Alignment-mode models glance in alignment space and keep the full
-marginal loss; length-mode models exclude revealed positions from the
-position-wise loss.
+The objective is one recipe whose parts stack. Each decoder layer has one
+token loss, :func:`natkit.model.token_loss`: the CTC marginal in alignment
+mode, position-wise cross-entropy otherwise. Deep supervision averages that
+loss over every decoder layer; without it only the last layer is
+supervised. Length-mode models add the weighted length-head loss.
+
+Glancing runs as two passes, at the ratio ``TrainConfig.glance_ratio(step)``.
+The first pass decodes in eval mode without gradients; its prediction picks
+how many target positions to reveal. The second pass trains with the
+revealed embeddings substituted into the decoder input, and every
+supervised layer sees the same reveals. Alignment-mode models glance in
+alignment space and keep the full marginal loss; other models exclude
+revealed positions from the position-wise loss.
+
+Validation runs the same per-pair pass in eval mode, which computes loss
+values only.
 """
 
 from __future__ import annotations
@@ -24,20 +34,17 @@ import numpy as np
 
 from natkit.corpus import BOS_ID, EOS_ID, ParallelCorpus, TokenSeq
 from natkit.ctc import log_softmax, min_alignment_len
-from natkit.glancing import GlanceSchedule, glance_count, glance_inputs_ctc, sample_glance
+from natkit.glancing import glance_count, glance_inputs_ctc, sample_glance
 from natkit.model import (
-    LayerStates,
     ModelConfig,
     Params,
     average_params,
     backward,
     forward,
     init_params,
-    length_class_clamped,
-    loss_ctc,
-    loss_deep_supervision,
+    length_target_class,
     loss_length,
-    loss_nat,
+    token_loss,
     zero_grads,
 )
 
@@ -76,6 +83,28 @@ class TrainConfig:
             raise ValueError("Adam epsilon must be positive")
         if self.keep_best < 1:
             raise ValueError("keep_best must be >= 1")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.eval_every < 1:
+            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+        if self.glat_start is not None:
+            if not 0.0 <= self.glat_start <= 1.0:
+                raise ValueError(f"glat_start must be in [0, 1], got {self.glat_start}")
+            if not 0.0 <= self.glat_slope <= self.glat_start:
+                raise ValueError(
+                    f"glat_slope must be in [0, glat_start = {self.glat_start}], so that the "
+                    f"glancing ratio stays >= 0 by the last step, got {self.glat_slope}"
+                )
+
+    def glance_ratio(self, step: int) -> float | None:
+        """The glancing ratio at ``step``; None when glancing is off.
+
+        It falls linearly from ``glat_start`` by ``glat_slope`` over
+        ``steps`` steps and holds there after the last step.
+        """
+        if self.glat_start is None:
+            return None
+        return self.glat_start - self.glat_slope * (min(step, self.steps) / self.steps)
 
 
 @dataclass
@@ -135,22 +164,24 @@ def _sentence_pass(
     rng: np.random.Generator | None,
     train: bool,
 ):
-    """Loss and parameter gradients for one pair; None when skipped.
+    """Loss, parameter gradients and loss components for one pair.
 
-    A pair is skipped when its source or its decoder length exceeds
-    ``max_len``, when CTC cannot align the target at the decoder length, or
-    when a length-mode target is empty.
+    Returns None when the pair is skipped: when its source or its decoder
+    length exceeds ``max_len``, when CTC cannot align the target at the
+    decoder length, or when a length-mode target is empty. In eval mode
+    (``train`` False) only values are computed, and the gradients are None.
     """
     J, I = len(src), len(tgt)
     mode = config.mode
-    # per mode: decoder length, labels, teacher-forced inputs, loss base
+    # per mode: decoder length, labels, teacher-forced inputs
     if mode == "at":
-        T, labels, prev, base = I + 1, tgt.ids + (EOS_ID,), (BOS_ID,) + tgt.ids, "nat"
+        T, labels, prev = I + 1, tgt.ids + (EOS_ID,), (BOS_ID,) + tgt.ids
     elif mode == "ctc":
-        T, labels, prev, base = J * int(config.upsample), tgt.ids, None, "ctc"
+        T, labels, prev = J * int(config.upsample), tgt.ids, None
     else:
-        T, labels, prev, base = I, tgt.ids, None, "nat"
-    if max(J, T) > config.max_len or T < 1 or (base == "ctc" and min_alignment_len(labels) > T):
+        T, labels, prev = I, tgt.ids, None
+    ctc = mode == "ctc"
+    if max(J, T) > config.max_len or T < 1 or (ctc and min_alignment_len(labels) > T):
         return None
 
     glance = None
@@ -164,28 +195,29 @@ def _sentence_pass(
             # through unglanced so its non-finite loss reports the divergence
             glance, _ = glance_inputs_ctc(labels, log_softmax(last), lam, rng)
     states = forward(params, config, src.ids, T, prev_ids=prev, glance=glance, train=train, rng=rng)
-    # CTC keeps the full marginal; position-wise losses skip revealed positions
-    if config.deep_supervision:
-        val, dlogits = loss_deep_supervision(states, labels, base=base, mask=glance)
-    else:
-        val, dl = loss_ctc(states, labels) if base == "ctc" else loss_nat(states, labels, mask=glance)
-        dlogits = _only_last(states, dl)
+    # deep supervision: the token loss of every decoder layer, averaged;
+    # without it, the last layer's alone. -0.0 is the additive identity, so
+    # a single layer's value passes through bit for bit.
+    L = len(states.logits)
+    supervised = range(L) if config.deep_supervision else range(L - 1, L)
+    val, dlogits = -0.0, [None] * L
+    for l in supervised:
+        v, dl = token_loss(states.logits[l], labels, ctc=ctc, mask=glance, grad=train)
+        val += v
+        if train:
+            dlogits[l] = dl / len(supervised)
+    val /= len(supervised)
     components = {"token": val}
     dlength = None
     if mode == "length":
-        len_val, dlen = loss_length(states, config, J, I)
+        cls, clamped = length_target_class(config, J, I)
+        len_val, dlen = loss_length(states, cls)
         components["length"] = len_val
-        components["length_clamped"] = 1.0 if length_class_clamped(config, J, I) else 0.0
+        components["length_clamped"] = 1.0 if clamped else 0.0
         val = val + hyper.length_loss_weight * len_val
         dlength = hyper.length_loss_weight * dlen
     grads = backward(params, states, dlogits, dlength=dlength) if train else None
     return val, grads, components
-
-
-def _only_last(states: LayerStates, dl: np.ndarray) -> list[np.ndarray | None]:
-    out: list[np.ndarray | None] = [None] * len(states.logits)
-    out[-1] = dl
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +231,15 @@ def train_step(
     hyper: TrainConfig,
     opt_state: AdamState,
     step: int,
-    sched: GlanceSchedule | None = None,
 ) -> tuple[Params, AdamState, dict]:
     """One optimization step over a batch; pure given (inputs, step, seed).
 
-    The glancing ratio is computed, and logged, only for a parallel model:
-    an autoregressive one never glances, so its ``lambda`` is None.
+    The glancing ratio, ``hyper.glance_ratio(step)``, is computed and logged
+    only for a parallel model: an autoregressive one never glances, so its
+    ``lambda`` is None.
     """
     rng = np.random.default_rng([hyper.seed, step])
-    lam = sched.at(step).value() if sched is not None and config.mode != "at" else None
+    lam = hyper.glance_ratio(step) if config.mode != "at" else None
     total = zero_grads(params)
     loss_sum = 0.0
     comp_sum: dict[str, float] = {}
@@ -253,7 +285,10 @@ def validation_loss(
     pairs: Sequence[tuple[TokenSeq, TokenSeq]],
     hyper: TrainConfig,
 ) -> float:
-    """Mean eval-mode loss without glancing; skipped pairs are ignored."""
+    """Mean eval-mode loss without glancing; skipped pairs are ignored.
+
+    Values only: no gradient, CTC posterior or softmax gradient is built.
+    """
     vals = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for src, tgt in pairs:
@@ -287,9 +322,6 @@ def train_model(
     """
     params = init_params(config, hyper.seed)
     opt_state = AdamState.zeros(params)
-    sched = None
-    if hyper.glat_start is not None:
-        sched = GlanceSchedule(hyper.glat_start, hyper.glat_slope, 0, hyper.steps)
     batch_rng = np.random.default_rng([hyper.seed, 0xBA7C4])
     n = len(corpus.pairs)
     if n == 0:
@@ -302,7 +334,7 @@ def train_model(
     for step in range(1, hyper.steps + 1):
         idx = batch_rng.integers(0, n, size=hyper.batch_size)
         batch = [corpus.pairs[int(i)] for i in idx]
-        params, opt_state, record = train_step(params, config, batch, hyper, opt_state, step, sched)
+        params, opt_state, record = train_step(params, config, batch, hyper, opt_state, step)
         log.append(record)
         if step % hyper.eval_every == 0 or step == hyper.steps:
             if heldout is not None:

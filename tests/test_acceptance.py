@@ -19,15 +19,15 @@ import pytest
 from natkit.analysis import adjacent_repetition_rate
 from natkit.bench import speedup, time_decode
 from natkit.cli import main as cli_main
-from natkit.corpus import BLANK_ID, synth_task, synth_vocab
+from natkit.corpus import BLANK_ID, TokenSeq, synth_task, synth_vocab
 from natkit.ctc import (
     collapse,
     ctc_forward,
-    ctc_grad,
+    ctc_posteriors,
     min_alignment_len,
     viterbi_align,
 )
-from natkit.glancing import GlanceSchedule, glance_count, sample_glance
+from natkit.glancing import glance_count, sample_glance
 from natkit.metrics import (
     SIG_BLEU,
     SIG_CHRF,
@@ -43,13 +43,12 @@ from natkit.model import (
     decode_at,
     forward,
     init_params,
-    loss_ctc,
-    loss_deep_supervision,
+    length_target_class,
     loss_length,
-    loss_nat,
+    token_loss,
 )
 from natkit.significance import SystemRun, mark_table, paired_bootstrap
-from natkit.training import TrainConfig, train_model
+from natkit.training import TrainConfig, _sentence_pass, train_model
 from natkit import __version__
 
 
@@ -159,24 +158,24 @@ def _feasible_target(rng, lo, hi, T):
 
 def test_criterion_02_gradient_suite():
     start = time.perf_counter()
-    worst = {"ctc_grad": 0.0, "nat": 0.0, "ctc": 0.0, "ds": 0.0, "length": 0.0}
+    worst = {"lattice": 0.0, "nat": 0.0, "ctc": 0.0, "ds": 0.0, "length": 0.0}
     V = 13
     lo = 5  # first content id past the specials
 
     for i in range(20):
         rng = np.random.default_rng([7, i])
 
-        # table-level alignment gradient
+        # table-level alignment gradient: minus the occupancy posterior
         T = int(rng.integers(4, 8))
         probs = rng.uniform(0.05, 1.0, size=(T, 4))
         probs /= probs.sum(axis=1, keepdims=True)
         table = np.log(probs)
         tgt = _feasible_target(rng, 1, 4, T)
-        ana = ctc_grad(table, tgt, blank=0)
+        ana = -ctc_posteriors(table, tgt, blank=0)
         coords = rng.choice(table.size, size=min(20, table.size), replace=False)
         num = _fd_array(lambda: -ctc_forward(table, tgt, blank=0), table, coords)
         for c, n in zip(coords, num):
-            worst["ctc_grad"] = max(worst["ctc_grad"], _rel(ana.reshape(-1)[c], n))
+            worst["lattice"] = max(worst["lattice"], _rel(ana.reshape(-1)[c], n))
 
         # token loss on the last layer of a real forward
         cfg = ModelConfig(vocab_size=V, d_model=8, enc_layers=1, dec_layers=2,
@@ -186,10 +185,10 @@ def test_criterion_02_gradient_suite():
         src = tuple(int(x) for x in rng.integers(lo, V, size=J))
         states = forward(params, cfg, src, J)
         target = tuple(int(x) for x in rng.integers(lo, V, size=J))
-        val, dl = loss_nat(states, target)
         x = states.logits[-1]
+        val, dl = token_loss(x, target)
         coords = rng.choice(x.size, size=min(24, x.size), replace=False)
-        num = _fd_array(lambda: loss_nat(states, target)[0], x, coords)
+        num = _fd_array(lambda: token_loss(x, target)[0], x, coords)
         for c, n in zip(coords, num):
             worst["nat"] = max(worst["nat"], _rel(dl.reshape(-1)[c], n))
 
@@ -199,36 +198,41 @@ def test_criterion_02_gradient_suite():
         cparams = init_params(ccfg, seed=i)
         cstates = forward(cparams, ccfg, src, 2 * J)
         ctar = _feasible_target(rng, lo, V, 2 * J)
-        cval, cdl = loss_ctc(cstates, ctar)
         x = cstates.logits[-1]
+        cval, cdl = token_loss(x, ctar, ctc=True)
         coords = rng.choice(x.size, size=min(24, x.size), replace=False)
-        num = _fd_array(lambda: loss_ctc(cstates, ctar)[0], x, coords)
+        num = _fd_array(lambda: token_loss(x, ctar, ctc=True)[0], x, coords)
         for c, n in zip(coords, num):
             worst["ctc"] = max(worst["ctc"], _rel(cdl.reshape(-1)[c], n))
 
-        # layer-averaged loss, both base losses, gradient per layer
+        # the layer-averaged training objective, both token losses, through
+        # the tied embedding that every layer's logits read
         base = "nat" if i % 2 == 0 else "ctc"
         dcfg = ModelConfig(vocab_size=V, d_model=8, enc_layers=1, dec_layers=2,
                            decoder_input="uniform_copy", deep_supervision=True,
                            upsample=2 if base == "ctc" else None, max_len=16)
         dparams = init_params(dcfg, seed=i)
         dlen = 2 * J if base == "ctc" else J
-        dstates = forward(dparams, dcfg, src, dlen)
         dtar = _feasible_target(rng, lo, V, dlen) if base == "ctc" else target
-        dval, dls = loss_deep_supervision(dstates, dtar, base=base)
-        layer = int(rng.integers(0, 2))
-        x = dstates.logits[layer]
+        pair = (TokenSeq(src), TokenSeq(dtar))
+
+        def objective():
+            return _sentence_pass(dparams, dcfg, *pair, TrainConfig(), None, None, train=True)
+
+        dgrads = objective()[1]
+        x = dparams["emb"]
         coords = rng.choice(x.size, size=min(16, x.size), replace=False)
-        num = _fd_array(lambda: loss_deep_supervision(dstates, dtar, base=base)[0], x, coords)
+        num = _fd_array(lambda: objective()[0], x, coords)
         for c, n in zip(coords, num):
-            worst["ds"] = max(worst["ds"], _rel(dls[layer].reshape(-1)[c], n))
+            worst["ds"] = max(worst["ds"], _rel(dgrads["emb"].reshape(-1)[c], n))
 
         # length-class loss on the pooled head
         lstates = forward(params, cfg, src, J)
-        lval, dlen_grad = loss_length(lstates, cfg, J, J + 1)
+        cls, _ = length_target_class(cfg, J, J + 1)
+        lval, dlen_grad = loss_length(lstates, cls)
         x = lstates.length_logits
         coords = rng.choice(x.size, size=min(20, x.size), replace=False)
-        num = _fd_array(lambda: loss_length(lstates, cfg, J, J + 1)[0], x, coords)
+        num = _fd_array(lambda: loss_length(lstates, cls)[0], x, coords)
         for c, n in zip(coords, num):
             worst["length"] = max(worst["length"], _rel(dlen_grad.reshape(-1)[c], n))
 
@@ -279,8 +283,9 @@ def test_criterion_03_collapse():
 
 def test_criterion_04_glancing():
     U = 1000
-    lam0 = GlanceSchedule(0.5, 0.2, 0, U).value()
-    lamU = GlanceSchedule(0.5, 0.2, U, U).value()
+    hyper = TrainConfig(steps=U, glat_start=0.5, glat_slope=0.2)
+    lam0 = hyper.glance_ratio(0)
+    lamU = hyper.glance_ratio(U)
     ok = lam0 == 0.5 and abs(lamU - 0.3) < 1e-12
 
     target = (7, 8, 9, 10, 11)
@@ -308,25 +313,26 @@ def test_criterion_05_deep_supervision():
     V, J = 13, 4
     src = (5, 6, 7, 8)
     target = (6, 7, 8, 9)
+    pair = (TokenSeq(src), TokenSeq(target))
+
+    def token_value(config, params):
+        out = _sentence_pass(params, config, *pair, TrainConfig(), None, None, train=True)
+        return out[2]["token"]
 
     one = ModelConfig(vocab_size=V, d_model=8, enc_layers=1, dec_layers=1,
                       decoder_input="uniform_copy", deep_supervision=True, max_len=16)
     params = init_params(one, seed=0)
     states = forward(params, one, src, J)
-    ds_val, _ = loss_deep_supervision(states, target, base="nat")
-    base_val, _ = loss_nat(states, target)
-    ok = ds_val == base_val  # single layer: bit-exact
+    base_val, _ = token_loss(states.logits[-1], target)
+    ok = token_value(one, params) == base_val  # single layer: bit-exact
 
     three = ModelConfig(vocab_size=V, d_model=8, enc_layers=1, dec_layers=3,
                         decoder_input="uniform_copy", deep_supervision=True, max_len=16)
     params3 = init_params(three, seed=1)
     states3 = forward(params3, three, src, J)
-    rng = np.random.default_rng(55)
-    for l in range(3):  # hand-set logits, overwriting the forward's values
-        states3.logits[l] = np.round(rng.normal(size=states3.logits[l].shape), 3)
-    ds3, _ = loss_deep_supervision(states3, target, base="nat")
-    per_layer = [loss_nat(states3, target, layer=l)[0] for l in range(3)]
-    ok = ok and ds3 == sum(per_layer) / 3
+    per_layer = [token_loss(states3.logits[l], target)[0] for l in range(3)]
+    ok = ok and len(set(per_layer)) == 3
+    ok = ok and token_value(three, params3) == sum(per_layer) / 3
     _report(5, "layer-averaged supervision identities", ok)
 
 

@@ -284,6 +284,37 @@ class TestTrain:
         ) == 2
 
 
+# out-of-range [training] values; the last one is the knob a sweep sets
+OUT_OF_RANGE = {
+    "glat_start": [("glat_start", "1.5")],
+    "glat_slope": [("glat_start", "0.3"), ("glat_slope", "0.5")],
+    "eval_every": [("eval_every", "0")],
+    "lr": [("lr", "-1")],
+}
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("key", list(OUT_OF_RANGE))
+def test_out_of_range_training_value_exit_2(tmp_path, capsys, command, key):
+    write_corpus(tmp_path, n=10)
+    values = OUT_OF_RANGE[key]
+    in_ini = values if command == "train" else values[:-1]
+    text = TRAIN_INI.format(src="src.txt", tgt="tgt.txt", steps=2).replace("eval_every = 20\n", "")
+    ini = tmp_path / "train.ini"
+    ini.write_text(text.replace("[training]\n", "[training]\n" + "".join(
+        f"{k} = {v}\n" for k, v in in_ini)))
+    out = tmp_path / "o"
+    if command == "train":
+        argv = ["train", "--config", str(ini), "--out-dir", str(out)]
+    else:
+        knob, raw = values[-1]
+        argv = ["sweep", "--config", str(ini), "--knob", knob, f"--values={raw}", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
+
+
 class TestDecode:
     def test_round_trip_matches_in_process(self, tmp_path, trained, capsys):
         hyp_path = tmp_path / "hyp.txt"

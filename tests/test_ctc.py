@@ -10,7 +10,6 @@ from natkit.ctc import (
     alignment_log_prob,
     collapse,
     ctc_forward,
-    ctc_grad,
     ctc_loss_logits,
     ctc_posteriors,
     log_softmax,
@@ -175,14 +174,14 @@ class TestForward:
 class TestGrad:
     def test_single_position_single_token(self):
         table = np.log(np.array([[0.7, 0.3]]))
-        g = ctc_grad(table, [0], blank=1)
+        g = -ctc_posteriors(table, [0], blank=1)
         assert g == pytest.approx(np.array([[-1.0, 0.0]]))
 
     def test_rows_sum_to_minus_one(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             values = random_table(rng, 5, 4)
-            g = ctc_grad(values, [0, 2], blank=1)
+            g = -ctc_posteriors(values, [0, 2], blank=1)
             assert np.allclose(g.sum(axis=1), -1.0, atol=1e-12)
 
     def test_posteriors_rows_sum_to_one(self):
@@ -204,7 +203,7 @@ class TestGrad:
             if min_alignment_len(target) > length:
                 continue
             values = random_table(rng, length, vocab)
-            g = ctc_grad(values, target, blank=1)
+            g = -ctc_posteriors(values, target, blank=1)
             for j in range(length):
                 for v in range(vocab):
                     up, dn = values.copy(), values.copy()
@@ -219,13 +218,13 @@ class TestGrad:
         half = rng.normal(0, 1, size=(3, 4))
         values = log_softmax(np.concatenate([half, half[::-1]], axis=0))
         target = (0, 2, 0)
-        g = ctc_grad(values, target, blank=1)
+        g = -ctc_posteriors(values, target, blank=1)
         assert np.allclose(g, g[::-1], atol=1e-12)
 
     def test_infeasible_raises(self):
         table = np.log(np.full((2, 3), 1 / 3))
         with pytest.raises(InfeasibleTargetError):
-            ctc_grad(table, [0, 0], blank=1)
+            ctc_posteriors(table, [0, 0], blank=1)
 
     def test_logit_gradient_finite_differences(self):
         rng = np.random.default_rng(15)

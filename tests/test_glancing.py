@@ -5,39 +5,48 @@ import pytest
 
 from natkit.glancing import (
     GlanceMask,
-    GlanceSchedule,
     glance_count,
     glance_inputs_ctc,
     hamming,
     sample_glance,
 )
+from natkit.training import TrainConfig
 
 
 class TestSchedule:
+    # the glancing ratio a training run reads off its TrainConfig
     def test_default_endpoints(self):
-        sched = GlanceSchedule(max_steps=1000)
-        assert sched.at(0).value() == pytest.approx(0.5)
-        assert sched.at(1000).value() == pytest.approx(0.3)
+        hyper = TrainConfig(steps=1000, glat_start=0.5)
+        assert hyper.glance_ratio(0) == 0.5
+        assert hyper.glance_ratio(1000) == pytest.approx(0.3)
 
     def test_midpoint_and_clamp(self):
-        sched = GlanceSchedule(max_steps=100)
-        assert sched.at(50).value() == pytest.approx(0.4)
-        assert sched.at(250).value() == pytest.approx(0.3)
+        hyper = TrainConfig(steps=100, glat_start=0.5)
+        assert hyper.glance_ratio(50) == pytest.approx(0.4)
+        assert hyper.glance_ratio(250) == hyper.glance_ratio(100) == pytest.approx(0.3)
 
     def test_monotone_nonincreasing(self):
-        sched = GlanceSchedule(max_steps=17)
-        vals = [sched.at(u).value() for u in range(40)]
+        hyper = TrainConfig(steps=17, glat_start=0.5)
+        vals = [hyper.glance_ratio(u) for u in range(40)]
         assert all(x >= y for x, y in zip(vals, vals[1:]))
 
+    def test_none_without_glancing(self):
+        assert TrainConfig().glance_ratio(1) is None
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GlanceSchedule(lambda_start=1.2)
-        with pytest.raises(ValueError):
-            GlanceSchedule(lambda_start=0.1, lambda_slope=0.2)
-        with pytest.raises(ValueError):
-            GlanceSchedule(max_steps=0)
-        with pytest.raises(ValueError):
-            GlanceSchedule().at(-1)
+        with pytest.raises(ValueError, match="glat_start"):
+            TrainConfig(glat_start=1.2)
+        with pytest.raises(ValueError, match="glat_start"):
+            TrainConfig(glat_start=-0.1)
+        with pytest.raises(ValueError, match="glat_slope"):
+            TrainConfig(glat_start=0.1, glat_slope=0.2)
+        with pytest.raises(ValueError, match="glat_slope"):
+            TrainConfig(glat_start=0.1, glat_slope=-0.1)
+        with pytest.raises(ValueError, match="steps"):
+            TrainConfig(steps=0, glat_start=0.5)
+        # the ratio may end at exactly 0; without glancing the slope is unread
+        TrainConfig(glat_start=0.3, glat_slope=0.3)
+        TrainConfig(glat_slope=-1.0)
 
 
 class TestHamming:
@@ -141,7 +150,7 @@ class TestGlanceInputsCtc:
         assert mask.revealed == (aligned[mask.positions[0]],)
 
     def test_schedule_end_value_reveals_nothing(self):
-        lam = GlanceSchedule(max_steps=10).at(10).value()  # 0.3 -> floor(0.6) = 0
+        lam = TrainConfig(steps=10, glat_start=0.5).glance_ratio(10)  # 0.3 -> floor(0.6) = 0
         mask, aligned = glance_inputs_ctc((0,), self.TABLE, lam, rng=np.random.default_rng(0))
         assert len(mask) == 0
         assert aligned == (0, 1)

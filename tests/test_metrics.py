@@ -338,6 +338,20 @@ class TestRegistry:
         assert not chrfpp(IDENT, IDENT).lower_is_better
 
     @pytest.mark.parametrize("name", list(METRICS))
+    def test_reports_compare_field_wise(self, name):
+        hyps, refs = ["a b c", "d e"], ["a b d", "d e"]
+        report = METRICS[name](hyps, refs)
+        assert (report == METRICS[name](hyps, refs)) is True
+        assert (report != METRICS[name](hyps, refs)) is False
+        # same corpus score and signature, other sentence statistics
+        swapped = METRICS[name](hyps[::-1], refs[::-1])
+        assert swapped.value == report.value and report != swapped
+        assert report != METRICS[name](["a b c", "d"], refs)
+        other = "ter" if name != "ter" else "bleu"
+        assert report != METRICS[other](hyps, refs)
+        assert report != report.to_dict()
+
+    @pytest.mark.parametrize("name", list(METRICS))
     def test_sentence_stats_looked_up_at_call_time(self, monkeypatch, name):
         # a wrapper installed at the module name (a profiler's) must see every line
         hyps, refs = ["a b c", "d e", "f"], ["a b d", "d e", "g h"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from natkit.corpus import BLANK_ID, BOS_ID, EOS_ID, UNK_ID
+from natkit.corpus import BLANK_ID, BOS_ID, EOS_ID, UNK_ID, TokenSeq
 from natkit.ctc import log_softmax
 from natkit.glancing import GlanceMask
 from natkit.model import (
@@ -21,12 +21,11 @@ from natkit.model import (
     forward,
     init_params,
     length_target_class,
-    loss_ctc,
-    loss_deep_supervision,
     loss_length,
-    loss_nat,
     predicted_length,
+    token_loss,
 )
+from natkit.training import TrainConfig, _sentence_pass
 
 V = 12  # 5 specials + 7 content tokens (ids 5..11)
 SRC = (5, 7, 9)
@@ -247,13 +246,13 @@ class TestLossValues:
     def test_nat_uniform_logits_is_log_vocab(self):
         c = cfg()
         st = forward(zeroed_like(c), c, SRC, len(TGT))
-        val, _ = loss_nat(st, TGT)
+        val, _ = token_loss(st.logits[-1], TGT)
         assert val == pytest.approx(math.log(V), rel=1e-12)
 
     def test_length_uniform_logits_is_log_classes(self):
         c = cfg(length_bound=32)
         st = forward(zeroed_like(c), c, SRC, 4)
-        val, _ = loss_length(st, c, len(SRC), 4)
+        val, _ = loss_length(st, length_target_class(c, len(SRC), 4)[0])
         assert val == pytest.approx(math.log(65), rel=1e-12)
 
     def test_nat_mask_excludes_positions(self):
@@ -261,7 +260,7 @@ class TestLossValues:
         p = init_params(c, 5)
         st = forward(p, c, SRC, len(TGT))
         mask = GlanceMask((0, 2), (TGT[0], TGT[2]), len(TGT))
-        val, dl = loss_nat(st, TGT, mask=mask)
+        val, dl = token_loss(st.logits[-1], TGT, mask=mask)
         assert np.all(dl[[0, 2]] == 0)
         logp = log_softmax(st.logits[-1])
         want = -(logp[1, TGT[1]] + logp[3, TGT[3]]) / 2
@@ -271,7 +270,7 @@ class TestLossValues:
         c = cfg()
         st = forward(init_params(c, 5), c, SRC, 2)
         mask = GlanceMask((0, 1), (6, 8), 2)
-        val, dl = loss_nat(st, (6, 8), mask=mask)
+        val, dl = token_loss(st.logits[-1], (6, 8), mask=mask)
         assert val == 0.0 and np.all(dl == 0)
 
     def test_ctc_loss_positive_and_infeasible_raises(self):
@@ -279,47 +278,74 @@ class TestLossValues:
 
         c = cfg(upsample=2)
         st = forward(init_params(c, 6), c, SRC, 6)
-        val, _ = loss_ctc(st, (6, 8, 10))
+        val, _ = token_loss(st.logits[-1], (6, 8, 10), ctc=True)
         assert val > 0
         with pytest.raises(InfeasibleTargetError):
-            loss_ctc(st, (6, 6, 6, 6))  # needs 7 slots, table has 6
+            token_loss(st.logits[-1], (6, 6, 6, 6), ctc=True)  # needs 7 slots, table has 6
 
     def test_length_target_class(self):
         c = cfg(length_bound=4)
-        assert length_target_class(c, 5, 6) == 5  # offset +1 -> 1 + 4
-        assert length_target_class(c, 5, 20) == 8  # clamped at +K
+        assert length_target_class(c, 5, 6) == (5, False)  # offset +1 -> 1 + 4
+        assert length_target_class(c, 5, 9) == (8, False)  # offset +K, in range
+        assert length_target_class(c, 5, 20) == (8, True)  # clamped at +K
+        assert length_target_class(c, 9, 1) == (0, True)  # clamped at -K
         a = cfg(length_mode="absolute", max_abs_len=10)
-        assert length_target_class(a, 5, 6) == 6
-        assert length_target_class(a, 5, 50) == 9
+        assert length_target_class(a, 5, 6) == (6, False)
+        assert length_target_class(a, 5, 9) == (9, False)
+        assert length_target_class(a, 5, 50) == (9, True)
+
+    @pytest.mark.parametrize("ctc, mask", [
+        (True, None),
+        (False, None),
+        (False, GlanceMask((1,), (8,), 3)),
+        (False, GlanceMask((0, 1, 2), (6, 8, 10), 3)),
+    ], ids=["ctc", "ce", "ce-glanced", "ce-all-glanced"])
+    def test_value_without_gradient_is_bit_equal(self, ctc, mask):
+        c = cfg(upsample=2)
+        x = forward(init_params(c, 6), c, SRC, 6).logits[-1]
+        logits = x if ctc else x[:3]
+        val, dl = token_loss(logits, (6, 8, 10), ctc=ctc, mask=mask)
+        assert dl.shape == logits.shape
+        assert token_loss(logits, (6, 8, 10), ctc=ctc, mask=mask, grad=False) == (val, None)
 
 
 class TestDeepSupervision:
+    # the layer average lives in the training objective, so run that
+    @staticmethod
+    def passes(kw, tgt):
+        """One layer's train-mode pass without and with deep supervision."""
+        out = []
+        for ds in (False, True):
+            c = cfg(dec_layers=1, dec_self_attention=(True,), deep_supervision=ds, **kw)
+            out.append(_sentence_pass(init_params(c, 7), c, TokenSeq(SRC), TokenSeq(tgt),
+                                      TrainConfig(), None, None, train=True))
+        return out
+
     def test_single_layer_bit_identical_to_base(self):
-        c = cfg(dec_layers=1, dec_self_attention=(True,))
-        p = init_params(c, 7)
-        st = forward(p, c, SRC, len(TGT))
-        base_val, base_dl = loss_nat(st, TGT)
-        ds_val, ds_dls = loss_deep_supervision(st, TGT, base="nat")
-        assert ds_val == base_val
-        assert np.array_equal(ds_dls[0], base_dl)
+        (val, grads, comp), (ds_val, ds_grads, ds_comp) = self.passes({}, TGT)
+        assert ds_val == val and ds_comp == comp
+        assert all(np.array_equal(ds_grads[k], grads[k]) for k in grads)
 
     def test_single_layer_ctc_bit_identical(self):
-        c = cfg(dec_layers=1, dec_self_attention=(True,), upsample=2)
-        p = init_params(c, 7)
-        st = forward(p, c, SRC, 6)
-        base_val, _ = loss_ctc(st, (6, 8))
-        ds_val, _ = loss_deep_supervision(st, (6, 8), base="ctc")
-        assert ds_val == base_val
+        (val, grads, _), (ds_val, ds_grads, _) = self.passes({"upsample": 2}, (6, 8))
+        assert ds_val == val
+        assert all(np.array_equal(ds_grads[k], grads[k]) for k in grads)
 
     def test_mean_identity_across_layers(self):
-        c = cfg(dec_layers=3, dec_self_attention=(True, True, True))
-        p = init_params(c, 8)
-        st = forward(p, c, SRC, len(TGT))
-        per_layer = [loss_nat(st, TGT, layer=l)[0] for l in range(3)]
-        ds_val, ds_dls = loss_deep_supervision(st, TGT, base="nat")
-        assert ds_val == sum(per_layer) / 3
-        for l in range(3):
-            assert np.allclose(ds_dls[l] * 3, loss_nat(st, TGT, layer=l)[1])
+        for kw, T, tgt in (({}, len(TGT), TGT), ({"upsample": 2}, 6, (6, 8, 10))):
+            c = cfg(dec_layers=3, dec_self_attention=(True, True, True), deep_supervision=True, **kw)
+            p = init_params(c, 8)
+            st = forward(p, c, SRC, T)
+            per_layer = [token_loss(st.logits[l], tgt, ctc=c.mode == "ctc") for l in range(3)]
+            _, grads, comp = _sentence_pass(p, c, TokenSeq(SRC), TokenSeq(tgt), TrainConfig(),
+                                            None, None, train=True)
+            assert comp["token"] == sum(v for v, _ in per_layer) / 3
+            dlength = None
+            if c.mode == "length":
+                cls, _ = length_target_class(c, len(SRC), len(tgt))
+                dlength = TrainConfig().length_loss_weight * loss_length(st, cls)[1]
+            want = backward(p, st, [dl / 3 for _, dl in per_layer], dlength=dlength)
+            assert all(np.array_equal(grads[k], want[k]) for k in want)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +376,7 @@ class TestGradients:
 
             def run(params):
                 st = forward(params, c, SRC, len(TGT))
-                val, dl = loss_nat(st, TGT)
+                val, dl = token_loss(st.logits[-1], TGT)
                 dls = [None] * c.dec_layers
                 dls[-1] = dl
                 return val, backward(params, st, dls)
@@ -364,7 +390,7 @@ class TestGradients:
 
         def run(params):
             st = forward(params, c, SRC, len(TGT), glance=mask)
-            val, dl = loss_nat(st, TGT, mask=mask)
+            val, dl = token_loss(st.logits[-1], TGT, mask=mask)
             dls = [None] * c.dec_layers
             dls[-1] = dl
             return val, backward(params, st, dls)
@@ -377,7 +403,7 @@ class TestGradients:
 
         def run(params):
             st = forward(params, c, SRC, 6)
-            val, dl = loss_ctc(st, (6, 8, 10))
+            val, dl = token_loss(st.logits[-1], (6, 8, 10), ctc=True)
             dls = [None] * c.dec_layers
             dls[-1] = dl
             return val, backward(params, st, dls)
@@ -385,18 +411,15 @@ class TestGradients:
         fd_check(run, p, np.random.default_rng(14))
 
     def test_deep_supervision_both_bases(self):
-        for base, kw, tgt in (
-            ("nat", {}, TGT),
-            ("ctc", {"upsample": 2}, (6, 8, 10)),
-        ):
+        # the layer average lives in the training objective, so run that
+        for kw, tgt in (({}, TGT), ({"upsample": 2}, (6, 8, 10))):
             c = cfg(deep_supervision=True, dec_self_attention=(False, True), **kw)
             p = init_params(c, 15)
-            T = 6 if base == "ctc" else len(TGT)
+            pair = (TokenSeq(SRC), TokenSeq(tgt))
 
             def run(params):
-                st = forward(params, c, SRC, T)
-                val, dls = loss_deep_supervision(st, tgt, base=base)
-                return val, backward(params, st, dls)
+                val, grads, _ = _sentence_pass(params, c, *pair, TrainConfig(), None, None, train=True)
+                return val, grads
 
             fd_check(run, p, np.random.default_rng(16))
 
@@ -406,7 +429,7 @@ class TestGradients:
 
         def run(params):
             st = forward(params, c, SRC, 4)
-            val, dlen = loss_length(st, c, len(SRC), 4)
+            val, dlen = loss_length(st, length_target_class(c, len(SRC), 4)[0])
             return val, backward(params, st, [None] * c.dec_layers, dlength=dlen)
 
         fd_check(run, p, np.random.default_rng(18))
@@ -418,8 +441,8 @@ class TestGradients:
 
         def run(params):
             st = forward(params, c, SRC, len(TGT))
-            tv, dl = loss_nat(st, TGT)
-            lv, dlen = loss_length(st, c, len(SRC), len(TGT))
+            tv, dl = token_loss(st.logits[-1], TGT)
+            lv, dlen = loss_length(st, length_target_class(c, len(SRC), len(TGT))[0])
             dls = [None] * c.dec_layers
             dls[-1] = dl
             return tv + w * lv, backward(params, st, dls, dlength=w * dlen)
@@ -434,7 +457,7 @@ class TestGradients:
 
         def run(params):
             st = forward(params, c, SRC, len(prev), prev_ids=prev)
-            val, dl = loss_nat(st, labels)
+            val, dl = token_loss(st.logits[-1], labels)
             dls = [None] * c.dec_layers
             dls[-1] = dl
             return val, backward(params, st, dls)
@@ -447,7 +470,7 @@ class TestGradients:
 
         def run(params):
             st = forward(params, c, SRC, len(TGT), train=True, rng=np.random.default_rng(99))
-            val, dl = loss_nat(st, TGT)
+            val, dl = token_loss(st.logits[-1], TGT)
             dls = [None] * c.dec_layers
             dls[-1] = dl
             return val, backward(params, st, dls)

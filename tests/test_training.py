@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import natkit.model
 from natkit.corpus import ParallelCorpus, TokenSeq, synth_task
-from natkit.glancing import GlanceSchedule
 from natkit.model import ModelConfig, init_params
 from natkit.training import (
     AdamState,
     DivergedError,
     TrainConfig,
+    _sentence_pass,
     adam_update,
     lr_at,
     train_model,
@@ -83,6 +84,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(keep_best=0)
 
+    @pytest.mark.parametrize("kw, key", [
+        ({"lr": 0.0}, "lr"),
+        ({"lr": -1.0}, "lr"),
+        ({"lr": math.nan}, "lr"),
+        ({"eval_every": 0}, "eval_every"),
+    ])
+    def test_rejects_and_names_the_key(self, kw, key):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**kw)
+
 
 class TestTrainStep:
     def test_bitwise_deterministic(self):
@@ -98,33 +109,38 @@ class TestTrainStep:
 
     def test_zero_lambda_matches_no_schedule(self):
         cfg = small_cfg(upsample=2)
-        hyper = TrainConfig(seed=4)
         batch = make_batch()
         p0 = init_params(cfg, 0)
-        sched = GlanceSchedule(0.0, 0.0, 0, 10)
-        a, _, _ = train_step(p0, cfg, batch, hyper, AdamState.zeros(p0), 1, sched)
-        b, _, _ = train_step(p0, cfg, batch, hyper, AdamState.zeros(p0), 1, None)
+        zero = TrainConfig(seed=4, glat_start=0.0, glat_slope=0.0, steps=10)
+        a, _, _ = train_step(p0, cfg, batch, zero, AdamState.zeros(p0), 1)
+        b, _, _ = train_step(p0, cfg, batch, TrainConfig(seed=4), AdamState.zeros(p0), 1)
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_glancing_changes_update_and_is_recorded(self):
         cfg = small_cfg(upsample=2, dec_self_attention=(True,))
-        hyper = TrainConfig(seed=4)
         batch = make_batch(8)
         p0 = init_params(cfg, 0)
-        sched = GlanceSchedule(0.5, 0.0, 0, 10)
-        a, _, rec = train_step(p0, cfg, batch, hyper, AdamState.zeros(p0), 1, sched)
-        b, _, _ = train_step(p0, cfg, batch, hyper, AdamState.zeros(p0), 1, None)
+        glat = TrainConfig(seed=4, glat_start=0.5, glat_slope=0.0, steps=10)
+        a, _, rec = train_step(p0, cfg, batch, glat, AdamState.zeros(p0), 1)
+        b, _, _ = train_step(p0, cfg, batch, TrainConfig(seed=4), AdamState.zeros(p0), 1)
         assert rec["lambda"] == 0.5
         assert any(not np.array_equal(a[k], b[k]) for k in a)
 
+    def test_logged_lambda_is_the_config_ratio(self):
+        cfg = small_cfg(upsample=2)
+        hyper = TrainConfig(steps=10, glat_start=0.5, glat_slope=0.2, seed=4)
+        p0 = init_params(cfg, 0)
+        for step in (1, 7, 10):
+            _, _, rec = train_step(p0, cfg, make_batch(), hyper, AdamState.zeros(p0), step)
+            assert rec["lambda"] == hyper.glance_ratio(step) == 0.5 - 0.2 * (step / 10)
+
     def test_autoregressive_model_logs_no_lambda(self):
         cfg = small_cfg(autoregressive=True)
-        hyper = TrainConfig(seed=4)
         batch = make_batch()
         p0 = init_params(cfg, 0)
-        sched = GlanceSchedule(0.5, 0.2, 0, 10)
-        a, _, rec = train_step(p0, cfg, batch, hyper, AdamState.zeros(p0), 1, sched)
-        b, _, _ = train_step(p0, cfg, batch, hyper, AdamState.zeros(p0), 1, None)
+        glat = TrainConfig(seed=4, glat_start=0.5, glat_slope=0.2, steps=10)
+        a, _, rec = train_step(p0, cfg, batch, glat, AdamState.zeros(p0), 1)
+        b, _, _ = train_step(p0, cfg, batch, TrainConfig(seed=4), AdamState.zeros(p0), 1)
         assert rec["lambda"] is None
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
@@ -171,6 +187,35 @@ class TestTrainStep:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("mode_kw, glat_start", [
+        ({}, None),
+        ({}, 0.5),
+        ({"upsample": 2}, None),
+        ({"autoregressive": True}, None),
+        ({"dec_layers": 2, "deep_supervision": True}, None),
+        ({"dec_layers": 2, "deep_supervision": True, "upsample": 2}, None),
+    ], ids=["length", "length+glat", "ctc", "at", "length+ds2", "ctc+ds2"])
+    def test_equals_mean_of_train_mode_values(self, mode_kw, glat_start):
+        cfg = small_cfg(**mode_kw)
+        hyper = TrainConfig(glat_start=glat_start)
+        p = init_params(cfg, 3)
+        pairs = make_batch(6)
+        outs = [_sentence_pass(p, cfg, s, t, hyper, None, None, train=True) for s, t in pairs]
+        vals = [out[0] for out in outs if out is not None]
+        assert len(vals) >= 4
+        assert validation_loss(p, cfg, pairs, hyper) == float(np.mean(vals))
+
+    def test_ctc_validation_computes_no_gradient(self, monkeypatch):
+        def gradient_loss(*args, **kwargs):
+            raise AssertionError("the CTC loss with gradient was called")
+
+        monkeypatch.setattr(natkit.model, "ctc_loss_logits", gradient_loss)
+        cfg = small_cfg(upsample=2, dec_layers=2, deep_supervision=True)
+        p = init_params(cfg, 3)
+        assert math.isfinite(validation_loss(p, cfg, make_batch(4), TrainConfig()))
+        with pytest.raises(AssertionError, match="with gradient"):
+            train_step(p, cfg, make_batch(4), TrainConfig(), AdamState.zeros(p), 1)
+
     def test_mean_over_feasible_pairs(self):
         cfg = small_cfg(upsample=2)
         hyper = TrainConfig()
