@@ -86,6 +86,11 @@ class ScoreReport:
             and np.array_equal(self.sentence_stats, other.sentence_stats)
         )
 
+    def __hash__(self) -> int:
+        # the scalar fields __eq__ compares, so equal reports hash equal; the
+        # generated hash would hash the statistics array and raise
+        return hash((self.metric, self.value, self.signature, self.lower_is_better))
+
     def rescore(self, weights: np.ndarray) -> np.ndarray:
         """R corpus scores from (R, n) weights: how often each sentence counts."""
         return self.score_from_stats(np.asarray(weights, dtype=float) @ self.sentence_stats)

@@ -17,6 +17,25 @@ Architecture (all single head, no layer norm):
 Parameters live in a flat ``dict[str, np.ndarray]``; gradients mirror it
 key for key. Forward passes record a cache consumed by :func:`backward`.
 
+Batch axis. :func:`forward` takes one sentence (2-D activations, (T, V)
+logits) or a batch (a leading axis B). The sublayers are written once for
+both: matrix products act on the last two axes, and weight gradients sum
+over every row of ``reshape(-1, d)``. A batch pads its sources and decoder
+inputs with PAD_ID to the longest row, and the padding rule is:
+
+- attention hides padded keys: encoder positions past a row's source
+  length in cross-attention, decoder positions past its decoder length in
+  self-attention (with the causal mask in autoregressive mode). The mask
+  is None when every row has the same length, so a one-sentence call and
+  a full batch run no mask at all;
+- the length head mean-pools a row's real source positions only;
+- padded positions still compute (finite) values, but their logit
+  gradient is zero, so they add nothing to any parameter gradient;
+- dropout draws one mask of the padded (B, T_max, d) shape per dropout
+  site per call, padded positions included, in the order of the layers.
+
+A padded row's logits equal the row run alone up to rounding.
+
 Losses come back with gradients in logit space. One token loss,
 :func:`token_loss`, serves every mode and scores one decoder layer's logits;
 training applies it to the last layer, or averages it over every layer for
@@ -27,11 +46,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from natkit.corpus import BLANK_ID, BOS_ID, EOS_ID, UNK_ID
+from natkit.corpus import BLANK_ID, BOS_ID, EOS_ID, PAD_ID, UNK_ID
 from natkit.ctc import collapse, ctc_forward, ctc_loss_logits, log_softmax
 from natkit.glancing import GlanceMask
 
@@ -250,32 +269,84 @@ def _drop_back(d: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Rows and padding
+# ---------------------------------------------------------------------------
+
+class _Rows(NamedTuple):
+    """Token ids of one sentence, or of a batch padded with PAD_ID.
+
+    One sentence keeps 1-D ids and an int length. A batch holds (B, L_max)
+    ids, (B,) lengths and a (B, L_max) mask of the real positions, which is
+    None when every row has the same length.
+    """
+
+    ids: np.ndarray
+    lens: int | np.ndarray
+    real: np.ndarray | None
+
+
+def _real(lens: np.ndarray) -> np.ndarray | None:
+    """(B, max) mask of the real positions of rows of ``lens``; None if all are equal."""
+    if np.all(lens == lens[0]):
+        return None
+    return np.arange(lens.max()) < lens[:, None]
+
+
+def _rows(seqs, batched: bool) -> _Rows:
+    if not batched:
+        return _Rows(np.asarray(seqs, dtype=np.int64), len(seqs), None)
+    if len(seqs) == 0:
+        raise ModelError("empty batch")
+    lens = np.array([len(s) for s in seqs], dtype=np.int64)
+    ids = np.full((len(seqs), int(lens.max())), PAD_ID, dtype=np.int64)
+    for b, s in enumerate(seqs):
+        ids[b, :len(s)] = s
+    return _Rows(ids, lens, _real(lens))
+
+
+def _is_batch(decoder_len) -> bool:
+    return not isinstance(decoder_len, (int, np.integer))
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """(..., n) as (rows, n): every position of every batch row is one row."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _per_position(a: np.ndarray) -> np.ndarray:
+    """(..., L, d) summed over any batch axis to (L, d)."""
+    return a.reshape(-1, *a.shape[-2:]).sum(axis=0)
+
+
+# ---------------------------------------------------------------------------
 # Residual sublayers, each beside its gradient
 # ---------------------------------------------------------------------------
 
-def _attention(params, config: ModelConfig, prefix, x, mem, causal: bool, train, rng):
-    """``x + dropout(attention(x, mem))``: queries from ``x``, keys and values from ``mem``."""
-    scale = 1.0 / math.sqrt(x.shape[1])
+def _attention(params, config: ModelConfig, prefix, x, mem, mask, train, rng):
+    """``x + dropout(attention(x, mem))``: queries from ``x``, keys and values
+    from ``mem``; where ``mask`` (broadcast over the scores) is False, the
+    key is hidden."""
+    scale = 1.0 / math.sqrt(x.shape[-1])
     q, k, v = x @ params[prefix + "q"], mem @ params[prefix + "k"], mem @ params[prefix + "v"]
-    scores = (q @ k.T) * scale
-    if causal:
-        scores = np.where(np.tril(np.ones_like(scores, dtype=bool)), scores, -np.inf)
+    scores = (q @ k.swapaxes(-1, -2)) * scale
+    if mask is not None:
+        scores = np.where(mask, scores, -np.inf)
     A = _softmax_rows(scores)
-    o, mask = _dropout(A @ v, config.dropout, train, rng)
-    return x + o, (x, mem, q, k, v, A, scale, mask)
+    o, drop = _dropout(A @ v, config.dropout, train, rng)
+    return x + o, (x, mem, q, k, v, A, scale, drop)
 
 
 def _attention_back(params, prefix, dx, cache, grads: Params):
     """Gradients of :func:`_attention` at ``x`` (residual included) and at ``mem``."""
-    x, mem, q, k, v, A, scale, mask = cache
-    do = _drop_back(dx, mask)
-    dv = A.T @ do
-    dS = _softmax_back(A, do @ v.T)
+    x, mem, q, k, v, A, scale, drop = cache
+    do = _drop_back(dx, drop)
+    dv = A.swapaxes(-1, -2) @ do
+    dS = _softmax_back(A, do @ v.swapaxes(-1, -2))
     dq = (dS @ k) * scale
-    dk = (dS.T @ q) * scale
-    grads[prefix + "q"] += x.T @ dq
-    grads[prefix + "k"] += mem.T @ dk
-    grads[prefix + "v"] += mem.T @ dv
+    dk = (dS.swapaxes(-1, -2) @ q) * scale
+    grads[prefix + "q"] += _flat(x).T @ _flat(dq)
+    grads[prefix + "k"] += _flat(mem).T @ _flat(dk)
+    grads[prefix + "v"] += _flat(mem).T @ _flat(dv)
     dmem = dk @ params[prefix + "k"].T + dv @ params[prefix + "v"].T
     return dx + dq @ params[prefix + "q"].T, dmem
 
@@ -291,8 +362,8 @@ def _ffn_back(params, config: ModelConfig, prefix, dx, cache, grads: Params):
     """Gradient of :func:`_ffn` at ``x``, residual included."""
     x, z, mask = cache
     dz = _drop_back(dx, mask) * _act_grad(config.activation, z)
-    grads[prefix + "W"] += x.T @ dz
-    grads[prefix + "b"] += dz.sum(axis=0)
+    grads[prefix + "W"] += _flat(x).T @ _flat(dz)
+    grads[prefix + "b"] += _flat(dz).sum(axis=0)
     return dx + dz @ params[prefix + "W"].T
 
 
@@ -303,58 +374,82 @@ def _ffn_back(params, config: ModelConfig, prefix, dx, cache, grads: Params):
 def decoder_inputs(
     params: Params,
     config: ModelConfig,
-    src_ids: Sequence[int],
-    decoder_len: int,
-    glance: GlanceMask | None = None,
+    src_ids: Sequence[int] | Sequence[Sequence[int]],
+    decoder_len: int | Sequence[int],
+    glance: GlanceMask | Sequence[GlanceMask | None] | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Pre-positional decoder input rows for the configured strategy.
 
+    One sentence or a batch, as in :func:`forward`, with ``glance`` one
+    mask (or None) per batch row. A padded position gets an input as if its
+    row went on: ``uniform_copy`` copies the row's last source token there.
     Glanced positions are overwritten with the ground-truth token embeddings
     verbatim, so the revealed rows are exact copies of embedding rows.
     """
+    batched = _is_batch(decoder_len)
+    src = _rows(src_ids, batched)
     E = params["emb"]
-    J, T, d = len(src_ids), decoder_len, config.d_model
-    cache: dict = {"strategy": config.decoder_input, "src": tuple(src_ids), "T": T}
+    T = int(max(decoder_len)) if batched else decoder_len
+    lead = src.ids.shape[:-1]
+    cache: dict = {"strategy": config.decoder_input}
     if config.decoder_input == "unk":
-        base = np.tile(E[UNK_ID], (T, 1))
+        base = np.tile(E[UNK_ID], lead + (T, 1))
     elif config.decoder_input == "uniform_copy":
-        idx = np.floor(np.arange(T) * J / T).astype(np.int64)
-        base = E[np.asarray(src_ids, dtype=np.int64)[idx]]
-        cache["idx"] = idx
+        J = np.asarray(src.lens)[..., None]
+        idx = np.floor(np.arange(T) * J / np.asarray(decoder_len)[..., None]).astype(np.int64)
+        idx = np.minimum(idx, J - 1)
+        tokens = np.take_along_axis(src.ids, idx, axis=-1)
+        base = E[tokens]
+        cache.update(idx=idx, tokens=tokens)
     else:  # soft_copy
         tau = float(params["soft_tau"])
         if tau <= 0:
             raise ModelError(f"soft_copy temperature must stay positive, got {tau}")
-        dist = np.abs(np.arange(T)[:, None] - np.arange(J)[None, :]).astype(np.float64)
-        w = _softmax_rows(-dist / tau)
-        src_emb = E[np.asarray(src_ids, dtype=np.int64)]
+        dist = np.abs(np.arange(T)[:, None] - np.arange(src.ids.shape[-1])[None, :]).astype(np.float64)
+        scores = -dist / tau
+        if src.real is not None:
+            scores = np.where(src.real[:, None, :], scores, -np.inf)
+        w = _softmax_rows(scores)
+        src_emb = E[src.ids]
         base = w @ src_emb
-        cache.update(w=w, dist=dist, tau=tau, src_emb=src_emb)
-    if glance is not None and len(glance) > 0:
-        if glance.target_len != T:
-            raise ModelError(f"glance mask covers {glance.target_len} positions, decoder has {T}")
-        base = base.copy()
-        pos = np.asarray(glance.positions, dtype=np.int64)
-        base[pos] = E[np.asarray(glance.revealed, dtype=np.int64)]
-        cache["glance"] = (pos, np.asarray(glance.revealed, dtype=np.int64))
+        cache.update(w=w, dist=dist, tau=tau, src=src.ids, src_emb=src_emb)
+    if glance is not None:
+        _reveal(base, glance if batched else [glance], decoder_len if batched else [decoder_len],
+                E, cache)
     return base, cache
 
 
+def _reveal(base, masks, lens, E, cache) -> None:
+    """Overwrite each row's revealed positions of ``base`` in place."""
+    if len(masks) != len(lens):
+        raise ModelError(f"{len(masks)} glance masks for {len(lens)} rows")
+    hits = [(r, m) for r, m in enumerate(masks) if m is not None and len(m) > 0]
+    for r, m in hits:
+        if m.target_len != lens[r]:
+            raise ModelError(f"glance mask covers {m.target_len} positions, decoder has {lens[r]}")
+    if hits:
+        pos = np.concatenate([m.positions for _, m in hits]).astype(np.int64)
+        revealed = np.concatenate([m.revealed for _, m in hits]).astype(np.int64)
+        rows = np.repeat([r for r, _ in hits], [len(m) for _, m in hits])
+        where = (rows, pos) if base.ndim == 3 else (pos,)
+        base[where] = E[revealed]
+        cache["glance"] = (where, revealed)
+
+
 def _decoder_inputs_backward(dbase: np.ndarray, cache: dict, dE: np.ndarray, dparams: Params) -> None:
-    dbase = dbase.copy()
     if "glance" in cache:
-        pos, revealed = cache["glance"]
-        np.add.at(dE, revealed, dbase[pos])
-        dbase[pos] = 0.0
-    src = np.asarray(cache["src"], dtype=np.int64)
+        where, revealed = cache["glance"]
+        dbase = dbase.copy()
+        np.add.at(dE, revealed, dbase[where])
+        dbase[where] = 0.0
     if cache["strategy"] == "unk":
-        dE[UNK_ID] += dbase.sum(axis=0)
+        dE[UNK_ID] += _flat(dbase).sum(axis=0)
     elif cache["strategy"] == "uniform_copy":
-        np.add.at(dE, src[cache["idx"]], dbase)
+        np.add.at(dE, cache["tokens"].ravel(), _flat(dbase))
     else:
         w, dist, tau, src_emb = cache["w"], cache["dist"], cache["tau"], cache["src_emb"]
-        np.add.at(dE, src, w.T @ dbase)
-        dw = dbase @ src_emb.T
+        np.add.at(dE, cache["src"].ravel(), _flat(w.swapaxes(-1, -2) @ dbase))
+        dw = dbase @ src_emb.swapaxes(-1, -2)
         ds = _softmax_back(w, dw)
         dparams["soft_tau"] += np.array((ds * dist).sum() / tau**2)
 
@@ -363,15 +458,15 @@ def _decoder_inputs_backward(dbase: np.ndarray, cache: dict, dE: np.ndarray, dpa
 # Forward
 # ---------------------------------------------------------------------------
 
-def _encode(params, config: ModelConfig, src_ids, train, rng):
-    J = len(src_ids)
-    if J < 1:
+def _encode(params, config: ModelConfig, src_ids, train, rng, batched=False):
+    src = _rows(src_ids, batched)
+    J = src.ids.shape[-1]
+    if J < 1 or (src.real is not None and src.lens.min() < 1):
         raise ModelError("empty source")
     if J > config.max_len:
         raise ModelError(f"source of length {J} exceeds max_len={config.max_len}")
     E = params["emb"]
-    src = np.asarray(src_ids, dtype=np.int64)
-    x0 = E[src] + params["pos_enc"][:J]
+    x0 = E[src.ids] + params["pos_enc"][:J]
     x, in_mask = _dropout(x0, config.dropout, train, rng)
     layers = []
     for l in range(config.enc_layers):
@@ -380,16 +475,26 @@ def _encode(params, config: ModelConfig, src_ids, train, rng):
     cache = {"src": src, "in_mask": in_mask, "layers": layers}
     length_logits = None
     if config.mode == "length":
-        pooled = x.mean(axis=0)
+        if src.real is None:
+            pooled = x.mean(axis=-2)
+        else:
+            pooled = (x * src.real[..., None]).sum(axis=-2) / src.lens[:, None]
         length_logits = pooled @ params["len_W"] + params["len_b"]
         cache["pooled"] = pooled
     return x, length_logits, cache
 
 
-def _decode_stack(params, config: ModelConfig, enc_out, base, train, rng):
-    T = base.shape[0]
+def _decode_stack(params, config: ModelConfig, enc_out, base, train, rng, src_real=None, dec_real=None):
+    """The decoder layers over ``base``; ``src_real`` and ``dec_real`` mark
+    a batch's real source and decoder positions (None: every row is full)."""
+    T = base.shape[-2]
     if T > config.max_len:
         raise ModelError(f"decoder length {T} exceeds max_len={config.max_len}")
+    self_mask = np.tril(np.ones((T, T), dtype=bool)) if config.autoregressive else None
+    if dec_real is not None:
+        keys = dec_real[:, None, :]
+        self_mask = keys if self_mask is None else self_mask & keys
+    cross_mask = None if src_real is None else src_real[:, None, :]
     E = params["emb"]
     x0 = base + params["pos_dec"][:T]
     x, in_mask = _dropout(x0, config.dropout, train, rng)
@@ -397,10 +502,8 @@ def _decode_stack(params, config: ModelConfig, enc_out, base, train, rng):
     for l in range(config.dec_layers):
         entry: dict = {}
         if config.dec_self_attention[l]:
-            x, entry["self"] = _attention(
-                params, config, f"dec{l}_s", x, x, config.autoregressive, train, rng
-            )
-        x, entry["cross"] = _attention(params, config, f"dec{l}_c", x, enc_out, False, train, rng)
+            x, entry["self"] = _attention(params, config, f"dec{l}_s", x, x, self_mask, train, rng)
+        x, entry["cross"] = _attention(params, config, f"dec{l}_c", x, enc_out, cross_mask, train, rng)
         x, entry["ffn"] = _ffn(params, config, f"dec{l}_", x, train, rng)
         layers.append(entry)
         hidden.append(x)
@@ -412,31 +515,42 @@ def _decode_stack(params, config: ModelConfig, enc_out, base, train, rng):
 def forward(
     params: Params,
     config: ModelConfig,
-    src_ids: Sequence[int],
-    decoder_len: int,
+    src_ids: Sequence[int] | Sequence[Sequence[int]],
+    decoder_len: int | Sequence[int],
     *,
-    prev_ids: Sequence[int] | None = None,
-    glance: GlanceMask | None = None,
+    prev_ids: Sequence[int] | Sequence[Sequence[int]] | None = None,
+    glance: GlanceMask | Sequence[GlanceMask | None] | None = None,
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> LayerStates:
     """Full pass: encoder, length head (length mode), decoder stack, logits.
 
-    ``prev_ids`` replaces the strategy inputs with token embeddings in
-    autoregressive mode; ``glance`` overwrites revealed positions.
+    One sentence: ``src_ids`` is a sequence of ids and ``decoder_len`` an
+    int, and each layer's logits are (T, V). A batch: ``src_ids`` is a
+    sequence of sentences and ``decoder_len`` one length per row, and each
+    layer's logits are (B, T_max, V), padded as the module docstring says.
+    ``prev_ids`` (per row in a batch) replaces the strategy inputs with
+    token embeddings in autoregressive mode; ``glance`` (one mask or None
+    per row in a batch) overwrites revealed positions.
     """
-    enc_out, length_logits, enc_cache = _encode(params, config, src_ids, train, rng)
+    batched = _is_batch(decoder_len)
+    if batched and len(decoder_len) != len(src_ids):
+        raise ModelError(f"{len(decoder_len)} decoder lengths for {len(src_ids)} sources")
+    enc_out, length_logits, enc_cache = _encode(params, config, src_ids, train, rng, batched)
+    src = enc_cache["src"]
+    dec_len = np.atleast_1d(decoder_len)
     if config.autoregressive:
-        if prev_ids is None or len(prev_ids) != decoder_len:
+        prev = None if prev_ids is None else _rows(prev_ids, batched)
+        if prev is None or not np.array_equal(np.atleast_1d(prev.lens), dec_len):
             raise ModelError("autoregressive forward needs prev_ids matching decoder_len")
-        prev = np.asarray(prev_ids, dtype=np.int64)
-        base = params["emb"][prev]
-        in_cache: dict = {"strategy": "tokens", "prev": prev, "T": decoder_len}
         if glance is not None:
             raise ModelError("glancing applies to parallel decoding only")
+        base = params["emb"][prev.ids]
+        in_cache: dict = {"strategy": "tokens", "prev": prev.ids}
     else:
         base, in_cache = decoder_inputs(params, config, src_ids, decoder_len, glance)
-    logits, dec_cache = _decode_stack(params, config, enc_out, base, train, rng)
+    dec_real = _real(dec_len) if batched else None
+    logits, dec_cache = _decode_stack(params, config, enc_out, base, train, rng, src.real, dec_real)
     cache = {
         "config": config,
         "enc": enc_cache,
@@ -461,7 +575,8 @@ def backward(
     """Gradients for every parameter given per-layer logit gradients.
 
     ``dlogits[l]`` is the gradient at layer ``l``'s logits (None for unused
-    layers); ``dlength`` is the gradient at the length-head logits.
+    layers), shaped like them; ``dlength`` is the gradient at the
+    length-head logits. A batch's gradients are summed over its rows.
     """
     cache = states.cache
     config: ModelConfig = cache["config"]
@@ -474,13 +589,12 @@ def backward(
 
     dec = cache["dec"]
     hidden = dec["hidden"]
-    T = cache["base"].shape[0]
-    dx = np.zeros((T, config.d_model))
+    dx = np.zeros(cache["base"].shape)
     denc = np.zeros_like(cache["enc_out"])
     for l in range(config.dec_layers - 1, -1, -1):
         dl = dlogits[l]
         if dl is not None:
-            dE += dl.T @ hidden[l]
+            dE += _flat(dl).T @ _flat(hidden[l])
             dx = dx + dl @ E
         entry = dec["layers"][l]
         dx = _ffn_back(params, config, f"dec{l}_", dx, entry["ffn"], grads)
@@ -491,29 +605,29 @@ def backward(
             dx = dx + dmem
 
     dx0 = _drop_back(dx, dec["in_mask"])
-    grads["pos_dec"][:T] += dx0
+    grads["pos_dec"][:dx0.shape[-2]] += _per_position(dx0)
     in_cache = cache["input"]
     if in_cache["strategy"] == "tokens":
-        np.add.at(dE, in_cache["prev"], dx0)
+        np.add.at(dE, in_cache["prev"].ravel(), _flat(dx0))
     else:
         _decoder_inputs_backward(dx0, in_cache, dE, grads)
 
+    enc = cache["enc"]
+    src: _Rows = enc["src"]
     if dlength is not None:
         if config.mode != "length":
             raise ModelError("length gradient supplied but the model has no length head")
-        pooled = cache["enc"]["pooled"]
-        grads["len_W"] += np.outer(pooled, dlength)
-        grads["len_b"] += dlength
-        denc += np.tile(params["len_W"] @ dlength, (denc.shape[0], 1)) / denc.shape[0]
+        grads["len_W"] += _flat(enc["pooled"]).T @ _flat(dlength)
+        grads["len_b"] += _flat(dlength).sum(axis=0)
+        dpool = ((dlength @ params["len_W"].T) / np.asarray(src.lens)[..., None])[..., None, :]
+        denc += dpool if src.real is None else dpool * src.real[..., None]
 
-    enc = cache["enc"]
     dx = denc
     for l in range(config.enc_layers - 1, -1, -1):
         dx = _ffn_back(params, config, f"enc{l}_", dx, enc["layers"][l], grads)
     dx0 = _drop_back(dx, enc["in_mask"])
-    J = len(enc["src"])
-    grads["pos_enc"][:J] += dx0
-    np.add.at(dE, enc["src"], dx0)
+    grads["pos_enc"][:dx0.shape[-2]] += _per_position(dx0)
+    np.add.at(dE, src.ids.ravel(), _flat(dx0))
     return grads
 
 
@@ -580,11 +694,12 @@ def length_target_class(config: ModelConfig, src_len: int, tgt_len: int) -> tupl
     return cls, cls != raw
 
 
-def loss_length(states: LayerStates, cls: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy of the length head against a :func:`length_target_class` class."""
-    if states.length_logits is None:
+def loss_length(length_logits: np.ndarray | None, cls: int) -> tuple[float, np.ndarray]:
+    """Cross-entropy of one sentence's length-head logits against a
+    :func:`length_target_class` class."""
+    if length_logits is None:
         raise ModelError("model has no length head")
-    loss, d = _ce_rows(states.length_logits[None, :], np.array([cls]), np.array([0]))
+    loss, d = _ce_rows(length_logits[None, :], np.array([cls]), np.array([0]))
     return loss, d[0]
 
 

@@ -1,8 +1,11 @@
 """Optimization: Adam, the warmup schedule, the two-pass training step.
 
 The training step is pure given (params, batch, step, seed): per-step RNG is
-derived from the pair, batches touch sentences one at a time, and gradient
-accumulation is plain summation, so reruns are bit-identical single threaded.
+derived from the pair, and a batch runs as one padded (B, T, d) forward and
+one backward, so reruns are bit-identical single threaded. The loss heads
+stay per row: each reads its row's unpadded slice of the logits, and the
+logit gradients are scattered back into one padded array, zero on padded
+positions. A row's loss equals its pair's loss run alone up to rounding.
 
 The objective is one recipe whose parts stack. Each decoder layer has one
 token loss, :func:`natkit.model.token_loss`: the CTC marginal in alignment
@@ -11,15 +14,17 @@ loss over every decoder layer; without it only the last layer is
 supervised. Length-mode models add the weighted length-head loss.
 
 Glancing runs as two passes, at the ratio ``TrainConfig.glance_ratio(step)``.
-The first pass decodes in eval mode without gradients; its prediction picks
-how many target positions to reveal. The second pass trains with the
-revealed embeddings substituted into the decoder input, and every
+The first pass decodes the whole batch in eval mode without gradients; each
+row's prediction picks how many of its target positions to reveal, drawn
+row by row in batch order. It runs whenever glancing is on, at ratio 0
+too, so that every step logs its Hamming distances. The second pass trains
+with the revealed embeddings substituted into the decoder input, and every
 supervised layer sees the same reveals. Alignment-mode models glance in
 alignment space and keep the full marginal loss; other models exclude
 revealed positions from the position-wise loss.
 
-Validation runs the same per-pair pass in eval mode, which computes loss
-values only.
+Validation runs the same batched pass in eval mode, in batches of
+``batch_size`` in order, which computes loss values only.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from natkit.corpus import BOS_ID, EOS_ID, ParallelCorpus, TokenSeq
 from natkit.ctc import log_softmax, min_alignment_len
-from natkit.glancing import glance_count, glance_inputs_ctc, sample_glance
+from natkit.glancing import glance_count, glance_inputs_ctc, hamming, sample_glance
 from natkit.model import (
     ModelConfig,
     Params,
@@ -151,78 +156,119 @@ def adam_update(
 
 
 # ---------------------------------------------------------------------------
-# Per-sentence losses
+# The batched pass
 # ---------------------------------------------------------------------------
 
-def _sentence_pass(
+@dataclass
+class BatchPass:
+    """One padded pass over a batch: per-row values for the pairs that
+    survived the skip rule, in batch order, and their summed gradients."""
+
+    values: list[float]
+    components: list[dict[str, float]]
+    grads: Params | None    # None in eval mode or when every pair was skipped
+    skipped: int
+    revealed: int = 0       # glanced positions, summed over the rows
+    hamming: int = 0        # first-pass Hamming distances, summed over the rows
+
+
+def _batch_pass(
     params: Params,
     config: ModelConfig,
-    src: TokenSeq,
-    tgt: TokenSeq,
+    batch: Sequence[tuple[TokenSeq, TokenSeq]],
     hyper: TrainConfig,
     lam: float | None,
     rng: np.random.Generator | None,
     train: bool,
-):
-    """Loss, parameter gradients and loss components for one pair.
+) -> BatchPass:
+    """Losses, loss components and summed parameter gradients of a batch.
 
-    Returns None when the pair is skipped: when its source or its decoder
-    length exceeds ``max_len``, when CTC cannot align the target at the
-    decoder length, or when a length-mode target is empty. In eval mode
-    (``train`` False) only values are computed, and the gradients are None.
+    A pair is skipped when its source or its decoder length exceeds
+    ``max_len``, when CTC cannot align the target at the decoder length, or
+    when a length-mode target is empty. The others run as one padded
+    forward (two with glancing) and one backward. Each loss head reads its
+    row's unpadded slice, so padded positions get a zero logit gradient. In
+    eval mode (``train`` False) only values are computed.
     """
-    J, I = len(src), len(tgt)
     mode = config.mode
-    # per mode: decoder length, labels, teacher-forced inputs
-    if mode == "at":
-        T, labels, prev = I + 1, tgt.ids + (EOS_ID,), (BOS_ID,) + tgt.ids
-    elif mode == "ctc":
-        T, labels, prev = J * int(config.upsample), tgt.ids, None
-    else:
-        T, labels, prev = I, tgt.ids, None
     ctc = mode == "ctc"
-    if max(J, T) > config.max_len or T < 1 or (ctc and min_alignment_len(labels) > T):
-        return None
+    rows = []  # (src, tgt, decoder length, labels, teacher-forced inputs)
+    for src, tgt in batch:
+        J, I = len(src), len(tgt)
+        if mode == "at":
+            T, labels, prev = I + 1, tgt.ids + (EOS_ID,), (BOS_ID,) + tgt.ids
+        elif ctc:
+            T, labels, prev = J * int(config.upsample), tgt.ids, None
+        else:
+            T, labels, prev = I, tgt.ids, None
+        if max(J, T) <= config.max_len and T >= 1 and not (ctc and min_alignment_len(labels) > T):
+            rows.append((src, tgt, T, labels, prev))
+    out = BatchPass([], [], None, skipped=len(batch) - len(rows))
+    if not rows:
+        return out
+    srcs = [r[0].ids for r in rows]
+    lens = [r[2] for r in rows]
+    prevs = [r[4] for r in rows] if mode == "at" else None
 
-    glance = None
-    if lam is not None and lam > 0.0:
-        last = forward(params, config, src.ids, T, train=False).logits[-1]
-        if mode == "length":
-            pred = tuple(int(v) for v in np.argmax(last, axis=1))
-            glance = sample_glance(labels, glance_count(labels, pred, lam), rng)
-        elif np.all(np.isfinite(last)):
-            # poisoned logits cannot be aligned; let the training pass go
-            # through unglanced so its non-finite loss reports the divergence
-            glance, _ = glance_inputs_ctc(labels, log_softmax(last), lam, rng)
-    states = forward(params, config, src.ids, T, prev_ids=prev, glance=glance, train=train, rng=rng)
+    glances = None
+    if lam is not None:
+        last = forward(params, config, srcs, lens, train=False).logits[-1]
+        glances = []
+        for b, (_, _, T, labels, _) in enumerate(rows):
+            row, glance = last[b, :T], None
+            if mode == "length":
+                pred = tuple(int(v) for v in np.argmax(row, axis=1))
+                out.hamming += hamming(labels, pred)
+                glance = sample_glance(labels, glance_count(labels, pred, lam), rng)
+            elif np.all(np.isfinite(row)):
+                # poisoned logits cannot be aligned; let the training pass go
+                # through unglanced so its non-finite loss reports the divergence
+                glance, aligned = glance_inputs_ctc(labels, log_softmax(row), lam, rng)
+                out.hamming += hamming(aligned, tuple(int(v) for v in np.argmax(row, axis=1)))
+            out.revealed += len(glance) if glance is not None else 0
+            glances.append(glance)
+    states = forward(params, config, srcs, lens, prev_ids=prevs, glance=glances, train=train, rng=rng)
     # deep supervision: the token loss of every decoder layer, averaged;
     # without it, the last layer's alone. -0.0 is the additive identity, so
     # a single layer's value passes through bit for bit.
     L = len(states.logits)
     supervised = range(L) if config.deep_supervision else range(L - 1, L)
-    val, dlogits = -0.0, [None] * L
-    for l in supervised:
-        v, dl = token_loss(states.logits[l], labels, ctc=ctc, mask=glance, grad=train)
-        val += v
-        if train:
-            dlogits[l] = dl / len(supervised)
-    val /= len(supervised)
-    components = {"token": val}
-    dlength = None
-    if mode == "length":
-        cls, clamped = length_target_class(config, J, I)
-        len_val, dlen = loss_length(states, cls)
-        components["length"] = len_val
-        components["length_clamped"] = 1.0 if clamped else 0.0
-        val = val + hyper.length_loss_weight * len_val
-        dlength = hyper.length_loss_weight * dlen
-    grads = backward(params, states, dlogits, dlength=dlength) if train else None
-    return val, grads, components
+    dlogits = [np.zeros_like(states.logits[l]) if train and l in supervised else None
+               for l in range(L)]
+    dlength = np.zeros_like(states.length_logits) if train and mode == "length" else None
+    for b, (src, tgt, T, labels, _) in enumerate(rows):
+        glance = glances[b] if glances else None
+        val = -0.0
+        for l in supervised:
+            v, dl = token_loss(states.logits[l][b, :T], labels, ctc=ctc, mask=glance, grad=train)
+            val += v
+            if train:
+                dlogits[l][b, :T] = dl / len(supervised)
+        val /= len(supervised)
+        components = {"token": val}
+        if mode == "length":
+            cls, clamped = length_target_class(config, len(src), len(tgt))
+            len_val, dlen = loss_length(states.length_logits[b], cls)
+            components["length"] = len_val
+            components["length_clamped"] = 1.0 if clamped else 0.0
+            val = val + hyper.length_loss_weight * len_val
+            if train:
+                dlength[b] = hyper.length_loss_weight * dlen
+        out.values.append(val)
+        out.components.append(components)
+    if train:
+        out.grads = backward(params, states, dlogits, dlength=dlength)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Steps and loops
 # ---------------------------------------------------------------------------
+
+def _norm(tensors: Params) -> float:
+    """L2 norm of a parameter-shaped dict, as one flat vector."""
+    return math.sqrt(sum(float(np.vdot(t, t)) for t in tensors.values()))
+
 
 def train_step(
     params: Params,
@@ -236,47 +282,47 @@ def train_step(
 
     The glancing ratio, ``hyper.glance_ratio(step)``, is computed and logged
     only for a parallel model: an autoregressive one never glances, so its
-    ``lambda`` is None.
+    ``lambda`` is None. The record also holds the L2 norms of the averaged
+    gradient and of the Adam update, and with glancing the revealed
+    positions and first-pass Hamming distances summed over the batch.
     """
     rng = np.random.default_rng([hyper.seed, step])
     lam = hyper.glance_ratio(step) if config.mode != "at" else None
-    total = zero_grads(params)
-    loss_sum = 0.0
-    comp_sum: dict[str, float] = {}
-    n_eff, n_skip = 0, 0
     # a diverging step overflows before it is detected; the DivergedError
     # below is the diagnostic, not the fp warnings along the way
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for src, tgt in batch:
-            out = _sentence_pass(params, config, src, tgt, hyper, lam, rng, train=True)
-            if out is None:
-                n_skip += 1
-                continue
-            val, grads, components = out
-            loss_sum += val
-            for k, v in components.items():
-                comp_sum[k] = comp_sum.get(k, 0.0) + v
-            for k in total:
-                total[k] += grads[k]
-            n_eff += 1
+        out = _batch_pass(params, config, batch, hyper, lam, rng, train=True)
+    n_eff = len(out.values)
+    comp_sum: dict[str, float] = {}
+    for components in out.components:
+        for k, v in components.items():
+            comp_sum[k] = comp_sum.get(k, 0.0) + v
 
     record = {
         "step": step,
-        "loss": loss_sum / n_eff if n_eff else 0.0,
-        "components": {k: v / n_eff for k, v in comp_sum.items()} if n_eff else {},
+        "loss": sum(out.values) / n_eff if n_eff else 0.0,
+        "components": {k: v / n_eff for k, v in comp_sum.items()},
         "lambda": lam,
-        "skipped": n_skip,
+        "skipped": out.skipped,
+        "grad_norm": 0.0,
+        "update_norm": 0.0,
     }
+    if lam is not None:
+        record["revealed"] = out.revealed
+        record["hamming"] = out.hamming
     if not math.isfinite(record["loss"]):
         raise DivergedError(step, record["loss"])
     if n_eff == 0:
         return params, opt_state, record
+    total = out.grads
     for k in total:
         total[k] /= n_eff
     lr = lr_at(step, hyper.lr, hyper.warmup)
-    params, opt_state = adam_update(params, total, opt_state, lr, hyper.beta1, hyper.beta2, hyper.adam_eps)
+    new_params, opt_state = adam_update(params, total, opt_state, lr, hyper.beta1, hyper.beta2, hyper.adam_eps)
     record["lr"] = lr
-    return params, opt_state, record
+    record["grad_norm"] = _norm(total)
+    record["update_norm"] = _norm({k: new_params[k] - params[k] for k in params})
+    return new_params, opt_state, record
 
 
 def validation_loss(
@@ -287,14 +333,14 @@ def validation_loss(
 ) -> float:
     """Mean eval-mode loss without glancing; skipped pairs are ignored.
 
-    Values only: no gradient, CTC posterior or softmax gradient is built.
+    The pairs run in order, in batches of ``hyper.batch_size``. Values
+    only: no gradient, CTC posterior or softmax gradient is built.
     """
-    vals = []
+    vals: list[float] = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for src, tgt in pairs:
-            out = _sentence_pass(params, config, src, tgt, hyper, lam=None, rng=None, train=False)
-            if out is not None:
-                vals.append(out[0])
+        for lo in range(0, len(pairs), hyper.batch_size):
+            chunk = pairs[lo:lo + hyper.batch_size]
+            vals += _batch_pass(params, config, chunk, hyper, lam=None, rng=None, train=False).values
     return float(np.mean(vals)) if vals else float("nan")
 
 

@@ -48,7 +48,7 @@ from natkit.model import (
     token_loss,
 )
 from natkit.significance import SystemRun, mark_table, paired_bootstrap
-from natkit.training import TrainConfig, _sentence_pass, train_model
+from natkit.training import TrainConfig, _batch_pass, train_model
 from natkit import __version__
 
 
@@ -158,7 +158,7 @@ def _feasible_target(rng, lo, hi, T):
 
 def test_criterion_02_gradient_suite():
     start = time.perf_counter()
-    worst = {"lattice": 0.0, "nat": 0.0, "ctc": 0.0, "ds": 0.0, "length": 0.0}
+    worst = {"lattice": 0.0, "nat": 0.0, "ctc": 0.0, "ds": 0.0, "batch": 0.0, "length": 0.0}
     V = 13
     lo = 5  # first content id past the specials
 
@@ -217,22 +217,41 @@ def test_criterion_02_gradient_suite():
         pair = (TokenSeq(src), TokenSeq(dtar))
 
         def objective():
-            return _sentence_pass(dparams, dcfg, *pair, TrainConfig(), None, None, train=True)
+            return _batch_pass(dparams, dcfg, [pair], TrainConfig(), None, None, train=True)
 
-        dgrads = objective()[1]
+        dgrads = objective().grads
         x = dparams["emb"]
         coords = rng.choice(x.size, size=min(16, x.size), replace=False)
-        num = _fd_array(lambda: objective()[0], x, coords)
+        num = _fd_array(lambda: objective().values[0], x, coords)
         for c, n in zip(coords, num):
             worst["ds"] = max(worst["ds"], _rel(dgrads["emb"].reshape(-1)[c], n))
+
+        # the same objective summed over a padded batch of three pairs of
+        # different lengths: padding and its masks must add nothing
+        sizes = sorted(rng.choice(np.arange(2, 7), size=3, replace=False))
+        bpairs = []
+        for Jb in sizes:
+            bsrc = tuple(int(x) for x in rng.integers(lo, V, size=Jb))
+            btar = (_feasible_target(rng, lo, V, 2 * Jb) if base == "ctc"
+                    else tuple(int(x) for x in rng.integers(lo, V, size=Jb)))
+            bpairs.append((TokenSeq(bsrc), TokenSeq(btar)))
+
+        def batch_objective():
+            return _batch_pass(dparams, dcfg, bpairs, TrainConfig(), None, None, train=True)
+
+        bgrads = batch_objective().grads
+        coords = rng.choice(x.size, size=min(16, x.size), replace=False)
+        num = _fd_array(lambda: sum(batch_objective().values), x, coords)
+        for c, n in zip(coords, num):
+            worst["batch"] = max(worst["batch"], _rel(bgrads["emb"].reshape(-1)[c], n))
 
         # length-class loss on the pooled head
         lstates = forward(params, cfg, src, J)
         cls, _ = length_target_class(cfg, J, J + 1)
-        lval, dlen_grad = loss_length(lstates, cls)
+        lval, dlen_grad = loss_length(lstates.length_logits, cls)
         x = lstates.length_logits
         coords = rng.choice(x.size, size=min(20, x.size), replace=False)
-        num = _fd_array(lambda: loss_length(lstates, cls)[0], x, coords)
+        num = _fd_array(lambda: loss_length(lstates.length_logits, cls)[0], x, coords)
         for c, n in zip(coords, num):
             worst["length"] = max(worst["length"], _rel(dlen_grad.reshape(-1)[c], n))
 
@@ -316,8 +335,8 @@ def test_criterion_05_deep_supervision():
     pair = (TokenSeq(src), TokenSeq(target))
 
     def token_value(config, params):
-        out = _sentence_pass(params, config, *pair, TrainConfig(), None, None, train=True)
-        return out[2]["token"]
+        out = _batch_pass(params, config, [pair], TrainConfig(), None, None, train=True)
+        return out.components[0]["token"]
 
     one = ModelConfig(vocab_size=V, d_model=8, enc_layers=1, dec_layers=1,
                       decoder_input="uniform_copy", deep_supervision=True, max_len=16)

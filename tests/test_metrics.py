@@ -351,6 +351,15 @@ class TestRegistry:
         assert report != METRICS[other](hyps, refs)
         assert report != report.to_dict()
 
+    @pytest.mark.parametrize("name", ["bleu", "chrf", "ter"])
+    def test_equal_reports_hash_equal(self, name):
+        hyps, refs = ["a b c", "d e"], ["a b d", "d e"]
+        report = METRICS[name](hyps, refs)
+        again = METRICS[name](hyps, refs)
+        assert hash(report) == hash(again)
+        assert len({report, again}) == 1
+        assert len({report, METRICS[name](hyps[::-1], refs[::-1])}) == 2
+
     @pytest.mark.parametrize("name", list(METRICS))
     def test_sentence_stats_looked_up_at_call_time(self, monkeypatch, name):
         # a wrapper installed at the module name (a profiler's) must see every line

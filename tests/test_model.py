@@ -10,6 +10,7 @@ from natkit.glancing import GlanceMask
 from natkit.model import (
     ACTIVATIONS,
     INITS,
+    INPUT_STRATEGIES,
     ForwardCounter,
     ModelConfig,
     ModelError,
@@ -25,7 +26,7 @@ from natkit.model import (
     predicted_length,
     token_loss,
 )
-from natkit.training import TrainConfig, _sentence_pass
+from natkit.training import TrainConfig, _batch_pass
 
 V = 12  # 5 specials + 7 content tokens (ids 5..11)
 SRC = (5, 7, 9)
@@ -196,6 +197,86 @@ class TestDecoderInputs:
             decoder_inputs(p, c, SRC, 5, glance=GlanceMask((0,), (8,), 4))
 
 
+def within(got, want, rel=1e-12):
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestBatchAxis:
+    SRCS = [(5, 7, 9), (6, 8), (5, 6, 7, 8, 9), (11,)]
+    LENS = [4, 2, 7, 3]
+
+    @pytest.mark.parametrize("kw", [{"decoder_input": s} for s in INPUT_STRATEGIES]
+                             + [{"upsample": 2}, {"autoregressive": True}],
+                             ids=list(INPUT_STRATEGIES) + ["ctc", "at"])
+    def test_padded_rows_equal_single_sentence_passes(self, kw):
+        c = cfg(activation="gelu", **kw)
+        p = init_params(c, 31)
+        prevs = [(BOS_ID,) + tuple(range(6, 5 + n)) for n in self.LENS] if c.autoregressive else None
+        glance = None
+        if not c.autoregressive:
+            glance = [GlanceMask((1,), (8,), 4), None, GlanceMask((0, 6), (9, 10), 7), None]
+        st = forward(p, c, self.SRCS, self.LENS, prev_ids=prevs, glance=glance)
+        assert st.logits[-1].shape == (4, max(self.LENS), V)
+        for b, (src, T) in enumerate(zip(self.SRCS, self.LENS)):
+            one = forward(p, c, src, T, prev_ids=prevs[b] if prevs else None,
+                          glance=glance[b] if glance else None)
+            for l in range(c.dec_layers):
+                assert within(st.logits[l][b, :T], one.logits[l])
+            if c.mode == "length":
+                assert within(st.length_logits[b], one.length_logits)
+
+    def test_summed_gradient_equals_per_sentence_sum(self):
+        c = cfg(decoder_input="soft_copy")
+        p = init_params(c, 32)
+        st = forward(p, c, self.SRCS, self.LENS)
+        rng = np.random.default_rng(33)
+        dls = [rng.normal(size=x.shape) for x in st.logits]
+        dlen = rng.normal(size=st.length_logits.shape)
+        for b, T in enumerate(self.LENS):  # padded positions carry no gradient
+            for dl in dls:
+                dl[b, T:] = 0.0
+        got = backward(p, st, dls, dlength=dlen)
+        want = {k: np.zeros_like(v) for k, v in p.items()}
+        for b, (src, T) in enumerate(zip(self.SRCS, self.LENS)):
+            one = forward(p, c, src, T)
+            g = backward(p, one, [dl[b, :T] for dl in dls], dlength=dlen[b])
+            for k in want:
+                want[k] += g[k]
+        for k in p:
+            assert within(got[k], want[k]), k
+
+    def test_equal_lengths_build_no_mask(self):
+        c = cfg(decoder_input="soft_copy")
+        p = init_params(c, 34)
+        st = forward(p, c, [(5, 7, 9), (6, 8, 10)], [4, 4])
+        assert st.cache["enc"]["src"].real is None
+        assert forward(p, c, SRC, 4).cache["enc"]["src"].real is None
+        assert forward(p, c, self.SRCS, self.LENS).cache["enc"]["src"].real is not None
+
+    def test_dropout_draws_one_padded_array_per_site(self):
+        c = cfg(dropout=0.2, enc_layers=1, dec_layers=1, dec_self_attention=(False,))
+        p = init_params(c, 35)
+        st = forward(p, c, self.SRCS, self.LENS, train=True, rng=np.random.default_rng(0))
+        # encoder input, encoder FFN, decoder input, cross-attention, FFN
+        rng = np.random.default_rng(0)
+        shapes = [(4, 5, 8), (4, 5, 8), (4, 7, 8), (4, 7, 8), (4, 7, 8)]
+        want = [(rng.random(s) >= 0.2) / 0.8 for s in shapes]
+        enc, dec = st.cache["enc"], st.cache["dec"]
+        got = [enc["in_mask"], enc["layers"][0][2], dec["in_mask"],
+               dec["layers"][0]["cross"][7], dec["layers"][0]["ffn"][2]]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_mismatched_batch_rejected(self):
+        c = cfg()
+        p = init_params(c, 36)
+        with pytest.raises(ModelError):
+            forward(p, c, self.SRCS, self.LENS[:3])
+        with pytest.raises(ModelError):
+            forward(p, c, self.SRCS, self.LENS, glance=[None, None])
+        with pytest.raises(ModelError):
+            forward(p, c, [], [])
+
+
 class TestTiedEmbeddings:
     def test_unused_token_row_moves_its_logit_column_only(self):
         c = cfg()
@@ -252,7 +333,7 @@ class TestLossValues:
     def test_length_uniform_logits_is_log_classes(self):
         c = cfg(length_bound=32)
         st = forward(zeroed_like(c), c, SRC, 4)
-        val, _ = loss_length(st, length_target_class(c, len(SRC), 4)[0])
+        val, _ = loss_length(st.length_logits, length_target_class(c, len(SRC), 4)[0])
         assert val == pytest.approx(math.log(65), rel=1e-12)
 
     def test_nat_mask_excludes_positions(self):
@@ -317,8 +398,9 @@ class TestDeepSupervision:
         out = []
         for ds in (False, True):
             c = cfg(dec_layers=1, dec_self_attention=(True,), deep_supervision=ds, **kw)
-            out.append(_sentence_pass(init_params(c, 7), c, TokenSeq(SRC), TokenSeq(tgt),
-                                      TrainConfig(), None, None, train=True))
+            one = _batch_pass(init_params(c, 7), c, [(TokenSeq(SRC), TokenSeq(tgt))],
+                              TrainConfig(), None, None, train=True)
+            out.append((one.values[0], one.grads, one.components[0]))
         return out
 
     def test_single_layer_bit_identical_to_base(self):
@@ -337,13 +419,14 @@ class TestDeepSupervision:
             p = init_params(c, 8)
             st = forward(p, c, SRC, T)
             per_layer = [token_loss(st.logits[l], tgt, ctc=c.mode == "ctc") for l in range(3)]
-            _, grads, comp = _sentence_pass(p, c, TokenSeq(SRC), TokenSeq(tgt), TrainConfig(),
-                                            None, None, train=True)
-            assert comp["token"] == sum(v for v, _ in per_layer) / 3
+            one = _batch_pass(p, c, [(TokenSeq(SRC), TokenSeq(tgt))], TrainConfig(),
+                              None, None, train=True)
+            grads = one.grads
+            assert one.components[0]["token"] == sum(v for v, _ in per_layer) / 3
             dlength = None
             if c.mode == "length":
                 cls, _ = length_target_class(c, len(SRC), len(tgt))
-                dlength = TrainConfig().length_loss_weight * loss_length(st, cls)[1]
+                dlength = TrainConfig().length_loss_weight * loss_length(st.length_logits, cls)[1]
             want = backward(p, st, [dl / 3 for _, dl in per_layer], dlength=dlength)
             assert all(np.array_equal(grads[k], want[k]) for k in want)
 
@@ -418,8 +501,8 @@ class TestGradients:
             pair = (TokenSeq(SRC), TokenSeq(tgt))
 
             def run(params):
-                val, grads, _ = _sentence_pass(params, c, *pair, TrainConfig(), None, None, train=True)
-                return val, grads
+                one = _batch_pass(params, c, [pair], TrainConfig(), None, None, train=True)
+                return one.values[0], one.grads
 
             fd_check(run, p, np.random.default_rng(16))
 
@@ -429,7 +512,7 @@ class TestGradients:
 
         def run(params):
             st = forward(params, c, SRC, 4)
-            val, dlen = loss_length(st, length_target_class(c, len(SRC), 4)[0])
+            val, dlen = loss_length(st.length_logits, length_target_class(c, len(SRC), 4)[0])
             return val, backward(params, st, [None] * c.dec_layers, dlength=dlen)
 
         fd_check(run, p, np.random.default_rng(18))
@@ -442,7 +525,7 @@ class TestGradients:
         def run(params):
             st = forward(params, c, SRC, len(TGT))
             tv, dl = token_loss(st.logits[-1], TGT)
-            lv, dlen = loss_length(st, length_target_class(c, len(SRC), len(TGT))[0])
+            lv, dlen = loss_length(st.length_logits, length_target_class(c, len(SRC), len(TGT))[0])
             dls = [None] * c.dec_layers
             dls[-1] = dl
             return tv + w * lv, backward(params, st, dls, dlength=w * dlen)

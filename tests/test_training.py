@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import natkit.model
+import natkit.training
 from natkit.corpus import ParallelCorpus, TokenSeq, synth_task
 from natkit.model import ModelConfig, init_params
 from natkit.training import (
     AdamState,
     DivergedError,
     TrainConfig,
-    _sentence_pass,
+    _batch_pass,
     adam_update,
     lr_at,
     train_model,
@@ -186,6 +188,134 @@ class TestTrainStep:
         assert "lr" in rec
 
 
+BATCH_MODES = {
+    "length": ({}, None),
+    "length+glat": ({}, 0.5),
+    "ctc": ({"upsample": 2}, None),
+    "ctc+glat": ({"upsample": 2}, 0.5),
+    "at": ({"autoregressive": True}, None),
+    "length+ds2": ({"dec_layers": 2, "deep_supervision": True}, None),
+    "ctc+ds2": ({"dec_layers": 2, "deep_supervision": True, "upsample": 2}, None),
+}
+
+
+def batch_setup(mode):
+    mode_kw, glat_start = BATCH_MODES[mode]
+    cfg = small_cfg(**mode_kw)
+    hyper = TrainConfig(glat_start=glat_start, glat_slope=0.0, steps=10)
+    lam = hyper.glance_ratio(1) if cfg.mode != "at" else None
+    return cfg, hyper, lam
+
+
+def close(got, want, rel=1e-12):
+    """Every entry within ``rel`` of the largest magnitude in ``want``."""
+    return np.abs(np.asarray(got) - want).max() <= rel * max(np.abs(want).max(), 1e-300)
+
+
+class TestBatchAxis:
+    """One padded pass over mixed-length pairs against each pair alone."""
+
+    @pytest.mark.parametrize("mode", BATCH_MODES)
+    def test_rows_equal_batches_of_one(self, mode):
+        cfg, hyper, lam = batch_setup(mode)
+        p = init_params(cfg, 3)
+        pairs = make_batch(8, lens=(2, 7))
+        assert len({len(s) for s, _ in pairs}) > 1 and len({len(t) for _, t in pairs}) > 1
+        batched = _batch_pass(p, cfg, pairs, hyper, lam, np.random.default_rng(5), train=True)
+        rng = np.random.default_rng(5)  # one stream, drawn row by row as the batch does
+        ones = [_batch_pass(p, cfg, [pair], hyper, lam, rng, train=True) for pair in pairs]
+        assert batched.skipped == 0 and len(batched.values) == len(pairs)
+        want = [o.values[0] for o in ones]
+        assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(batched.values, want))
+        for got, one in zip(batched.components, ones):
+            assert got.keys() == one.components[0].keys()
+            assert all(abs(got[k] - v) <= 1e-12 * abs(v) for k, v in one.components[0].items())
+        for k in p:
+            assert close(batched.grads[k], sum(o.grads[k] for o in ones)), k
+        assert batched.revealed == sum(o.revealed for o in ones)
+        assert batched.hamming == sum(o.hamming for o in ones)
+        assert (batched.revealed > 0) == (lam is not None)
+
+    @settings(max_examples=30, deadline=None)
+    @given(mode=st.sampled_from(sorted(BATCH_MODES)), seed=st.integers(0, 2**16),
+           n=st.integers(1, 4), extra=st.integers(1, 3))
+    def test_appending_a_longer_pair_leaves_other_rows(self, mode, seed, n, extra):
+        # the longer pair pads every other row's source and decoder; only the
+        # key-padding (and, for AT, causal) masks keep that padding out
+        cfg, hyper, lam = batch_setup(mode)
+        p = init_params(cfg, seed)
+        pairs = list(make_batch(n, seed=seed, lens=(2, 5)))
+        J = max(len(s) for s, _ in pairs) + extra
+        I = max(len(t) for _, t in pairs) + extra
+        longer = (TokenSeq(tuple(5 + (i * 3) % 10 for i in range(J))),
+                  TokenSeq(tuple(5 + (i * 7) % 10 for i in range(I))))
+        before = _batch_pass(p, cfg, pairs, hyper, lam, np.random.default_rng(seed), train=True)
+        after = _batch_pass(p, cfg, pairs + [longer], hyper, lam, np.random.default_rng(seed),
+                            train=True)
+        assert after.skipped == 0
+        assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(after.values, before.values))
+
+    def test_validation_batches_in_order(self):
+        cfg, hyper, _ = batch_setup("ctc")
+        p = init_params(cfg, 3)
+        pairs = make_batch(7, lens=(2, 6))
+        small = TrainConfig(batch_size=3)
+        vals = [v for lo in (0, 3, 6)
+                for v in _batch_pass(p, cfg, pairs[lo:lo + 3], small, None, None, train=False).values]
+        assert validation_loss(p, cfg, pairs, small) == float(np.mean(vals))
+
+
+class TestObservability:
+    def glat_run(self, monkeypatch, tmp_path):
+        masks = []
+
+        def recorded(*args, _original=natkit.training.glance_inputs_ctc, **kwargs):
+            out = _original(*args, **kwargs)
+            masks.append(out[0])
+            return out
+
+        monkeypatch.setattr(natkit.training, "glance_inputs_ctc", recorded)
+        corpus = synth_task(12, (3, 5), 1, seed=8, n_words=10)
+        cfg = small_cfg(upsample=2)
+        hyper = TrainConfig(steps=2, batch_size=6, warmup=1, eval_every=2, keep_best=1, seed=5,
+                            glat_start=0.5, glat_slope=0.0)
+        log_path = tmp_path / "log.jsonl"
+        train_model(corpus, cfg, hyper, log_path=log_path)
+        return [json.loads(line) for line in log_path.read_text().splitlines()], masks
+
+    def test_glancing_record(self, monkeypatch, tmp_path):
+        records, masks = self.glat_run(monkeypatch, tmp_path)
+        assert len(records) == 2 and len(masks) == 12
+        assert sum(r["revealed"] for r in records) == sum(len(m) for m in masks) > 0
+        # each reveal count is floor(0.5 * Hamming distance) of its row
+        assert all(r["revealed"] <= r["hamming"] / 2 for r in records)
+        for r in records:
+            assert r["grad_norm"] > 0 and r["update_norm"] > 0
+        again, _ = self.glat_run(monkeypatch, tmp_path)
+        assert again == records
+
+    def test_norms_are_of_the_averaged_gradient_and_the_update(self):
+        cfg = small_cfg()
+        hyper = TrainConfig(seed=2)
+        p0 = init_params(cfg, 0)
+        batch = make_batch()
+        new, _, rec = train_step(p0, cfg, batch, hyper, AdamState.zeros(p0), 1)
+        grads = _batch_pass(p0, cfg, batch, hyper, None, np.random.default_rng([2, 1]),
+                            train=True).grads
+        flat = np.concatenate([grads[k].ravel() / len(batch) for k in p0])
+        assert rec["grad_norm"] == pytest.approx(np.linalg.norm(flat), rel=1e-12)
+        step = np.concatenate([(new[k] - p0[k]).ravel() for k in p0])
+        assert rec["update_norm"] == pytest.approx(np.linalg.norm(step), rel=1e-12)
+        assert "revealed" not in rec and "hamming" not in rec
+
+    def test_all_skipped_step_moves_nothing(self):
+        cfg = small_cfg(upsample=2)
+        p0 = init_params(cfg, 0)
+        bad = (TokenSeq((5, 6)), TokenSeq((7, 7, 7)))
+        _, _, rec = train_step(p0, cfg, [bad], TrainConfig(seed=1), AdamState.zeros(p0), 1)
+        assert rec["grad_norm"] == 0.0 and rec["update_norm"] == 0.0
+
+
 class TestValidation:
     @pytest.mark.parametrize("mode_kw, glat_start", [
         ({}, None),
@@ -200,9 +330,9 @@ class TestValidation:
         hyper = TrainConfig(glat_start=glat_start)
         p = init_params(cfg, 3)
         pairs = make_batch(6)
-        outs = [_sentence_pass(p, cfg, s, t, hyper, None, None, train=True) for s, t in pairs]
-        vals = [out[0] for out in outs if out is not None]
-        assert len(vals) >= 4
+        # one batch of the train-mode pass: validation's batch size covers the six pairs
+        vals = _batch_pass(p, cfg, pairs, hyper, None, None, train=True).values
+        assert len(vals) >= 4 and hyper.batch_size >= len(pairs)
         assert validation_loss(p, cfg, pairs, hyper) == float(np.mean(vals))
 
     def test_ctc_validation_computes_no_gradient(self, monkeypatch):
