@@ -91,7 +91,7 @@ def _load_ini(path: str) -> configparser.ConfigParser:
         raise InputError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        parser.read(path)
+        parser.read_string("\n".join(read_lines(path)), source=path)
     except configparser.Error as exc:
         raise InputError(f"bad config {path}: {exc}") from exc
     return parser

@@ -238,11 +238,23 @@ def synth_task(
 # ---------------------------------------------------------------------------
 
 def read_lines(path: str | Path) -> list[str]:
-    """Read a one-sentence-per-line UTF-8 text file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a one-sentence-per-line UTF-8 text file.
+
+    Bytes that are not UTF-8 raise ``CorpusError`` naming ``path:line``.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        # read() decodes the whole file in one call, so the offset is the file's
+        line = e.object.count(b"\n", 0, e.start) + 1
+        raise CorpusError(f"{path}:{line}: not valid UTF-8") from None
+    if not text:
+        return []
+    # the last line's terminator ends it; a file of one "\n" is one empty line
     if text.endswith("\n"):
         text = text[:-1]
-    return text.split("\n") if text else []
+    return text.split("\n")
+
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write sentences one per line, LF terminated."""

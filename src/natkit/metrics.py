@@ -25,6 +25,7 @@ case-sensitive and single-reference.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 import string
 from typing import Callable
 
@@ -264,37 +265,37 @@ def tokenize_tercom(sentence: str) -> list[str]:
     return sentence.split()
 
 
-def levenshtein(a, b) -> int:
-    """Unit-cost edit distance between two sequences (or strings).
-
-    Bit-parallel (Myers 1999, in Hyyrö's 2001 formulation): one column of the
-    DP table, over the shorter sequence, is held as two bit-vectors of +1/-1
-    vertical deltas in Python ints, and each item of the longer sequence
-    updates the whole column with a fixed number of integer operations.  The carry of 1 into
-    row 0 of the horizontal delta makes the first DP row 0, 1, 2, ..., so the
-    result is the global distance.  Items are compared by hash and equality.
-    """
-    a, b = list(a), list(b)
-    if len(a) < len(b):
-        a, b = b, a
-    m = len(b)
-    if m == 0:
-        return len(a)
+def _match_table(seq) -> dict:
+    """Item -> bit mask of the positions where it occurs in ``seq``."""
     peq: dict = {}
     bit = 1
-    for y in b:
+    for y in seq:
         peq[y] = peq.get(y, 0) | bit
         bit <<= 1
-    mask = bit - 1
-    top = bit >> 1
-    # carries move only upward, so bits from m up never reach the low m bits;
-    # the masks keep the ints m bits wide (``~`` of a Python int is negative)
-    pv, mv, dist = mask, 0, m
-    for x in a:
-        eq = peq.get(x, 0)
+    return peq
+
+
+def _myers(state: tuple, eqs, mask: int) -> tuple:
+    """Advance one column of the DP table by one item per match mask in ``eqs``.
+
+    Bit-parallel (Myers 1999, in Hyyrö's 2001 formulation): ``state`` is
+    (pv, mv, dist), the column's +1 and -1 vertical deltas as bit-vectors in
+    Python ints, m bits wide for a column over m items (``mask`` is 2**m - 1),
+    and the distance in its last row.  Each item updates the whole column with
+    a fixed number of integer operations.  The carry of 1 into row 0 of the
+    horizontal delta makes the first DP row 0, 1, 2, ..., so the distance is
+    global.  The start state is (mask, 0, m).
+    """
+    pv, mv, dist = state
+    top = (mask + 1) >> 1
+    # carries move only upward, so bits from m up never reach the low m bits.
+    # ``x ^ mask`` is the complement within them; the one carry bit at m it
+    # may leave in ``ph`` is cut by the masked shift, which keeps every state
+    # m bits wide
+    for eq in eqs:
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & mask)
+        ph = mv | ((xh | pv) ^ mask)
         mh = pv & xh
         if ph & top:
             dist += 1
@@ -302,38 +303,94 @@ def levenshtein(a, b) -> int:
             dist -= 1
         ph = ((ph << 1) | 1) & mask
         mh = (mh << 1) & mask
-        pv = mh | (~(xv | ph) & mask)
+        pv = mh | ((xv | ph) ^ mask)
         mv = ph & xv
-    return dist
+    return pv, mv, dist
 
 
-def _contiguous_in(piece: list[str], ref: list[str]) -> bool:
-    n = len(piece)
-    return any(ref[i:i + n] == piece for i in range(len(ref) - n + 1))
+def levenshtein(a, b) -> int:
+    """Unit-cost edit distance between two sequences (or strings).
+
+    One Myers column (:func:`_myers`) over the shorter sequence, advanced by
+    each item of the longer one.  Items are compared by hash and equality.
+    """
+    a, b = list(a), list(b)
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    peq = _match_table(b)
+    mask = (1 << len(b)) - 1
+    return _myers((mask, 0, len(b)), [peq.get(x, 0) for x in a], mask)[2]
 
 
-def _best_shift(hyp: list[str], ref: list[str], base: int):
-    """Most-edit-reducing single block move; scan order breaks ties."""
+def _right_moves(e: list, fe: list, o: list, fo: list, s: int, k: int, mask: int) -> list:
+    """Distances after moving the block ``s:s+k`` right to each position
+    ``ins`` in ``s+1 .. min(n-k, s+TER_MAX_SHIFT_DIST)``, in that order.
+
+    ``e`` holds the hypothesis's match masks against the reference and
+    ``fe[i]`` the column state after ``e[:i]``; ``o`` and ``fo`` are the same
+    for the reversed hypothesis against the reversed reference, so ``fo[j]``
+    covers the last j words.  The candidate ``e[:s] + e[s+k:ins+k] + block +
+    e[ins+k:]`` runs either from a head state over ``e[:s] + e[s+k:ins+k]``,
+    which advances one word per ``ins``, or from ``fo[n-ins-k]`` over its
+    unchanged suffix, whichever leaves fewer words to run.
+    """
+    n = len(e)
+    block = e[s:s + k]
+    rblock = o[n - s - k:n - s]
+    head, at = fe[s], s
+    out = []
+    for ins in range(s + 1, min(n - k, s + TER_MAX_SHIFT_DIST) + 1):
+        if n - ins <= k + ins:
+            head = _myers(head, e[at + k:ins + k], mask)
+            at = ins
+            out.append(_myers(head, block + e[ins + k:], mask)[2])
+        else:
+            rest = rblock + o[n - ins - k:n - s - k] + o[n - s:]
+            out.append(_myers(fo[n - ins - k], rest, mask)[2])
+    return out
+
+
+def _best_shift(hyp: list[str], base: int, fwd: dict, bwd: dict, mask: int, grams: set):
+    """Most-edit-reducing single block move; scan order breaks ties.
+
+    Every block of at most ``TER_MAX_SHIFT_SIZE`` words that occurs in the
+    reference (``grams``) is tried at every position at most
+    ``TER_MAX_SHIFT_DIST`` away, and the first candidate in (start, span,
+    position) order with the largest saving wins.  ``fwd`` and ``bwd`` are
+    the match tables of the reference and of its reversal.  Each candidate's
+    distance runs from cached Myers states: one per prefix of ``hyp`` and, as
+    D(a, b) = D(rev a, rev b), one per suffix against the reversed reference.
+    A move left is a move right of the reversed hypothesis, so
+    :func:`_right_moves` scores both.
+    """
+    n = len(hyp)
+    e = [fwd.get(w, 0) for w in hyp]
+    o = [bwd.get(w, 0) for w in reversed(hyp)]
+    start = (mask, 0, mask.bit_length())
+    fe, fo = [start], [start]
+    for i in range(n):
+        fe.append(_myers(fe[-1], e[i:i + 1], mask))
+        fo.append(_myers(fo[-1], o[i:i + 1], mask))
     best = None
     best_delta = 0
-    max_span = min(TER_MAX_SHIFT_SIZE, len(hyp))
-    for start in range(len(hyp)):
-        for span in range(1, max_span + 1):
-            if start + span > len(hyp):
-                break
-            piece = hyp[start:start + span]
-            if not _contiguous_in(piece, ref):
-                continue
-            rest = hyp[:start] + hyp[start + span:]
-            for ins in range(len(rest) + 1):
-                if ins == start or abs(ins - start) > TER_MAX_SHIFT_DIST:
-                    continue
-                cand = rest[:ins] + piece + rest[ins:]
-                delta = base - levenshtein(cand, ref)
-                if delta > best_delta:
-                    best_delta = delta
-                    best = cand
-    return best, best_delta
+    for s in range(n):
+        for k in range(1, min(TER_MAX_SHIFT_SIZE, n - s) + 1):
+            if tuple(hyp[s:s + k]) not in grams:
+                break  # and no longer block from s occurs either
+            left = _right_moves(o, fo, e, fe, n - s - k, k, mask)[::-1]
+            right = _right_moves(e, fe, o, fo, s, k, mask)
+            positions = chain(range(s - len(left), s), range(s + 1, n))
+            for ins, dist in zip(positions, left + right):
+                if base - dist > best_delta:
+                    best_delta = base - dist
+                    best = (s, k, ins)
+    if best is None:
+        return None, 0
+    s, k, ins = best
+    rest = hyp[:s] + hyp[s + k:]
+    return rest[:ins] + hyp[s:s + k] + rest[ins:], best_delta
 
 
 def ter_sentence_edits(hyp_words: list[str], ref_words: list[str]) -> int:
@@ -342,9 +399,13 @@ def ter_sentence_edits(hyp_words: list[str], ref_words: list[str]) -> int:
         raise MetricError("TER needs a non-empty reference sentence")
     current = list(hyp_words)
     dist = levenshtein(current, ref_words)
+    fwd, bwd = _match_table(ref_words), _match_table(ref_words[::-1])
+    mask = (1 << len(ref_words)) - 1
+    grams = {tuple(ref_words[i:i + k])
+             for k in range(1, TER_MAX_SHIFT_SIZE + 1) for i in range(len(ref_words) - k + 1)}
     shifts = 0
     while dist > 0:
-        cand, delta = _best_shift(current, ref_words, dist)
+        cand, delta = _best_shift(current, dist, fwd, bwd, mask, grams)
         if cand is None or delta < 1:
             break
         current = cand

@@ -1,9 +1,16 @@
 import configparser
+import contextlib
+import io
 import json
+import re
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natkit.checkpoint import save_checkpoint
 from natkit.cli import MODEL_KEYS, TRAIN_KEYS, _typed_section, main
@@ -567,6 +574,86 @@ class TestSynth:
         ) == 2
         assert capsys.readouterr().err == "error: bad source length range (5, 3)\n"
         assert not (tmp_path / "o").exists()
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 exits 2 and names its file and line."""
+
+    @staticmethod
+    def assert_named(capsys, path, line):
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:{line}: not valid UTF-8\n"
+        assert "Traceback" not in err
+
+    def test_score(self, tmp_path, capsys):
+        hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+        hyp.write_bytes(b"cafe\r\nthe caf\xe9\r\n")
+        ref.write_text("cafe\ncafe\n")
+        assert main(["score", "--hyp", str(hyp), "--ref", str(ref)]) == 2
+        self.assert_named(capsys, hyp, 2)
+
+    def test_signif(self, tmp_path, capsys):
+        ref = tmp_path / "ref.txt"
+        ref.write_text("a b\nc d\ne f\n")
+        (tmp_path / "good.txt").write_text("a b\nc d\ne f\n")
+        (tmp_path / "bad.txt").write_bytes(b"a b\nc d\ne \xff\n")
+        spec = tmp_path / "table.spec"
+        spec.write_text("base\tgood.txt\n+bad\tbad.txt\n")
+        assert main(["signif", "--spec", str(spec), "--ref", str(ref)]) == 2
+        self.assert_named(capsys, tmp_path / "bad.txt", 3)
+
+    def test_decode(self, tmp_path, trained, capsys):
+        src = tmp_path / "src.txt"
+        src.write_bytes(b"w01 w02\n\xc3 w03\n")
+        assert main(["decode", "--checkpoint", str(trained["ckpt"]), "--src", str(src)]) == 2
+        self.assert_named(capsys, src, 2)
+
+    def test_train(self, tmp_path, capsys):
+        src, tgt = write_corpus(tmp_path, n=10)
+        lines = tgt.read_bytes().split(b"\n")
+        lines[3] += b" \xe9"
+        tgt.write_bytes(b"\n".join(lines))
+        ini = tmp_path / "train.ini"
+        ini.write_text(TRAIN_INI.format(src=src, tgt=tgt, steps=2))
+        assert main(["train", "--config", str(ini), "--out-dir", str(tmp_path / "run")]) == 2
+        self.assert_named(capsys, tgt, 4)
+
+    def test_train_config(self, tmp_path, capsys):
+        src, tgt = write_corpus(tmp_path, n=10)
+        ini = tmp_path / "train.ini"
+        ini.write_bytes(TRAIN_INI.format(src=src, tgt=tgt, steps=2).encode().replace(
+            b"[model]", b"[model]\n; caf\xe9"))
+        assert main(["train", "--config", str(ini), "--out-dir", str(tmp_path / "run")]) == 2
+        self.assert_named(capsys, ini, 6)
+
+
+_FUZZ_WORDS = ["a", "b", "café", "naïve", "日本語", "ß", "«x»", "—", "1,000.", "\u00a0"]
+_fuzz_line = st.tuples(
+    st.one_of(st.lists(st.sampled_from(_FUZZ_WORDS), max_size=5).map(" ".join),
+              st.sampled_from([" ", "\t", " \t "])),
+    st.sampled_from([b"", b"", b"", b"\xff", b"caf\xe9", b"\xc3"]),
+    st.sampled_from([b"\n", b"\r\n"]),
+).map(lambda t: t[0].encode("utf-8") + t[1] + t[2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(*[st.lists(_fuzz_line, min_size=n, max_size=n).map(b"".join)] * 2)))
+def test_score_fuzz_exit_0_or_named_line(files):
+    # empty, whitespace-only and non-ASCII lines, CRLF endings, bad bytes
+    with tempfile.TemporaryDirectory() as tmp:
+        hyp, ref = Path(tmp) / "hyp.txt", Path(tmp) / "ref.txt"
+        hyp.write_bytes(files[0])
+        ref.write_bytes(files[1])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["score", "--hyp", str(hyp), "--ref", str(ref), "--metrics", "bleu,chrf,ter"])
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if code == 2:
+        assert re.match(rf"error: ({re.escape(str(hyp))}|{re.escape(str(ref))}):\d+: ", err), err
+    else:
+        assert code == 0 and err == ""
 
 
 class TestTopLevel:

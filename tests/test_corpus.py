@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -180,6 +182,19 @@ class TestFiles:
         write_lines(p, ["a b", "c"])
         assert p.read_bytes() == b"a b\nc\n"
         assert read_lines(p) == ["a b", "c"]
+
+    def test_read_lines_edges(self, tmp_path):
+        p = tmp_path / "x.txt"
+        for body, lines in [(b"", []), (b"\n", [""]), (b"\n\n", ["", ""]),
+                            (b"a\r\n\r\nb", ["a", "", "b"])]:
+            p.write_bytes(body)
+            assert read_lines(p) == lines
+
+    def test_not_utf8_names_line(self, tmp_path):
+        p = tmp_path / "x.txt"
+        p.write_bytes(b"a\r\nb\n\xe9t\xe9\n")
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(p))}:3: not valid UTF-8$"):
+            read_lines(p)
 
     def test_parallel_roundtrip(self, tmp_path):
         v = synth_vocab(8)

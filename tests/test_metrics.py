@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from natkit import metrics
@@ -40,6 +40,38 @@ def _levenshtein_dp(a, b) -> int:
             cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
         prev = cur
     return prev[-1]
+
+
+def _ter_all_candidates(hyp, ref):
+    """The greedy shift search scored the direct way: every candidate block
+    move is built and its distance taken afresh with ``_levenshtein_dp``.
+    Candidates, scan order and the strict tie rule are the library's.
+    Returns the edit count and each search's (best candidate, saving)."""
+    current = list(hyp)
+    dist = _levenshtein_dp(current, ref)
+    moves, shifts = [], 0
+    while dist > 0:
+        best, best_delta = None, 0
+        for start in range(len(current)):
+            for span in range(1, min(metrics.TER_MAX_SHIFT_SIZE, len(current) - start) + 1):
+                piece = current[start:start + span]
+                if not any(ref[i:i + span] == piece for i in range(len(ref) - span + 1)):
+                    continue
+                rest = current[:start] + current[start + span:]
+                for ins in range(len(rest) + 1):
+                    if ins == start or abs(ins - start) > metrics.TER_MAX_SHIFT_DIST:
+                        continue
+                    cand = rest[:ins] + piece + rest[ins:]
+                    delta = dist - _levenshtein_dp(cand, ref)
+                    if delta > best_delta:
+                        best, best_delta = cand, delta
+        moves.append((best, best_delta))
+        if best is None:
+            break
+        current = best
+        dist -= best_delta
+        shifts += 1
+    return shifts + dist, moves
 
 
 class TestBleu:
@@ -205,7 +237,7 @@ class TestTer:
         assert info.value.line == 2
         assert info.value.reason == "TER needs a non-empty reference sentence"
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         st.integers(2, 4).flatmap(
             lambda k: st.tuples(
@@ -214,13 +246,45 @@ class TestTer:
             )
         )
     )
-    def test_edits_unchanged_under_dp_oracle(self, pair):
-        # small vocabularies repeat words, so many shift candidates are scored
+    @example(([], ["0"]))
+    @example(([], ["0", "1", "0"]))
+    def test_search_matches_all_candidates_oracle(self, pair):
+        # small vocabularies repeat words, so many shift candidates tie and
+        # the move each search picks pins the scan order and the tie rule
         hyp, ref = pair
-        edits = ter_sentence_edits(hyp, ref)
+        moves = []
+        best_shift = metrics._best_shift
+
+        def recording(*args):
+            moves.append(best_shift(*args))
+            return moves[-1]
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("natkit.metrics.levenshtein", _levenshtein_dp)
-            assert ter_sentence_edits(hyp, ref) == edits
+            mp.setattr(metrics, "_best_shift", recording)
+            edits = ter_sentence_edits(hyp, ref)
+        assert (edits, moves) == _ter_all_candidates(hyp, ref)
+
+    @pytest.mark.parametrize("k, edits", [(50, 1), (51, 2)])
+    def test_shift_distance_cap(self, k, edits):
+        # X moves k positions left: one shift up to TER_MAX_SHIFT_DIST
+        f = [f"f{i}" for i in range(k)]
+        assert metrics.TER_MAX_SHIFT_DIST == 50
+        assert ter_sentence_edits(f + ["X"], ["X"] + f) == edits
+
+    @pytest.mark.parametrize("k, edits", [(10, 1), (11, 2)])
+    def test_shift_size_cap(self, k, edits):
+        # two swapped blocks of k words: one shift up to TER_MAX_SHIFT_SIZE
+        a, b = [f"a{i}" for i in range(k)], [f"b{i}" for i in range(k)]
+        assert metrics.TER_MAX_SHIFT_SIZE == 10
+        assert ter_sentence_edits(b + a, a + b) == edits
+
+    @pytest.mark.parametrize("moved, edits", [(50, 1), (51, 2)])
+    def test_shift_distance_cap_past_64_words(self, moved, edits):
+        # 71 words: the column is wider than one 64-bit machine word
+        f = [f"f{i}" for i in range(70)]
+        ref = f[:10] + ["X"] + f[10:]
+        hyp = f[:10 + moved] + ["X"] + f[10 + moved:]
+        assert ter_sentence_edits(hyp, ref) == edits
 
     def test_case_sensitive(self):
         assert ter(["A b"], ["a b"]).value == pytest.approx(50.0)
