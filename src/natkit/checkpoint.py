@@ -93,7 +93,7 @@ def load_checkpoint(path: str | Path) -> tuple[Params, ModelConfig, Vocabulary, 
             raise CheckpointError(f"{path} is not a checkpoint (bad magic {magic!r})")
         try:
             header = json.loads(fh.readline().decode("utf-8"))
-        except json.JSONDecodeError as e:
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"unreadable checkpoint header in {path}: {e}") from e
         if not isinstance(header, dict):
             raise CheckpointError(f"checkpoint header in {path} is not a mapping")

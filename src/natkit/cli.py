@@ -238,7 +238,7 @@ def _encode_sources(vocab, lines, origin) -> list[tuple[int, ...]]:
     for i, line in enumerate(lines, start=1):
         toks = line.split()
         if not toks:
-            raise InputError(f"empty source line {i} in {origin}")
+            raise InputError(f"{origin}:{i}: empty source line")
         encoded.append(vocab.encode(toks))
     return encoded
 

@@ -37,9 +37,12 @@ inputs with PAD_ID to the longest row, and the padding rule is:
 A padded row's logits equal the row run alone up to rounding.
 
 Losses come back with gradients in logit space. One token loss,
-:func:`token_loss`, serves every mode and scores one decoder layer's logits;
-training applies it to the last layer, or averages it over every layer for
-deep supervision, and length-mode models add :func:`loss_length`.
+:func:`token_loss`, serves every mode and scores one decoder layer's logits,
+of one sentence or of a padded batch; training applies it to the last
+layer, or averages it over every layer for deep supervision, and
+length-mode models add :func:`loss_length`. Both cross-entropies share one
+softmax over the batch, and one sentence is a batch of one; the CTC loss
+runs its lattice row by row.
 """
 
 from __future__ import annotations
@@ -635,52 +638,92 @@ def backward(
 # Loss heads (values plus logit-space gradients)
 # ---------------------------------------------------------------------------
 
-def _ce_rows(logits: np.ndarray, targets: np.ndarray, rows: np.ndarray, grad: bool = True):
-    """Mean cross-entropy over the selected rows; with ``grad``, its logit gradient."""
+def _cross_entropy(logits: np.ndarray, targets: np.ndarray, keep: np.ndarray, grad: bool):
+    """Per-row mean cross-entropy of (B, T, V) logits over the ``keep`` positions.
+
+    ``targets`` and ``keep`` are (B, T). One log-softmax serves the batch.
+    A row's value is the sum of its own kept picks over their count, or 0.0
+    when it keeps none. With ``grad``, the logit gradient is (softmax -
+    one-hot) / count at kept positions and exactly 0 elsewhere.
+    """
     logp = log_softmax(logits)
-    n = len(rows)
-    loss = -float(logp[rows, targets[rows]].sum()) / n
+    b, t = np.nonzero(keep)
+    tgt = targets[b, t]
+    picks = logp[b, t, tgt]
+    counts = keep.sum(axis=1)
+    ends = np.cumsum(counts).tolist()
+    # each row sums its own compacted picks, which a sum over the padded row
+    # with zeros in place of dropped picks would regroup
+    values = [-float(picks[e - n:e].sum()) / n if n else 0.0
+              for n, e in zip(counts.tolist(), ends)]
     if not grad:
-        return loss, None
-    dlogits = np.zeros_like(logits)
-    probs = np.exp(logp[rows])
-    probs[np.arange(n), targets[rows]] -= 1.0
-    dlogits[rows] = probs / n
-    return loss, dlogits
+        return values, None
+    probs = np.exp(logp[b, t])
+    probs[np.arange(len(tgt)), tgt] -= 1.0
+    probs /= counts[b][:, None]
+    dlogits = np.zeros(logp.shape)
+    dlogits[b, t] = probs
+    return values, dlogits
 
 
 def token_loss(
     logits: np.ndarray,
-    labels: Sequence[int],
+    labels: Sequence[int] | Sequence[Sequence[int]],
     ctc: bool = False,
-    mask: GlanceMask | None = None,
+    mask: GlanceMask | Sequence[GlanceMask | None] | None = None,
     grad: bool = True,
-) -> tuple[float, np.ndarray | None]:
+    lens: Sequence[int] | None = None,
+) -> tuple[float | list[float], np.ndarray | None]:
     """One decoder layer's token loss and, with ``grad``, its logit gradient.
 
+    One sentence: (T, V) ``logits``, its ``labels`` and glance ``mask``; the
+    value is a float and the gradient (T, V). A batch: padded (B, T_max, V)
+    ``logits`` with one target, one mask (or None) and one decoder length in
+    ``lens`` per row; the values are a list and the gradient (B, T_max, V),
+    exactly 0 on padded positions. One sentence is a batch of one.
+
     With ``ctc`` it is the negative log alignment marginal, which glancing
-    leaves whole, so ``mask`` is not read. Otherwise it is the mean
-    position-wise cross-entropy over the positions ``mask`` did not reveal,
-    and 0.0 when it revealed every one. Without ``grad`` the same value comes
-    back with None, and neither posteriors nor a softmax gradient are built;
-    a target CTC cannot align then gives inf instead of raising.
+    leaves whole, so ``mask`` is not read; each row runs its own lattice on
+    its unpadded slice. Otherwise it is the mean position-wise cross-entropy
+    over the positions ``mask`` did not reveal, one softmax for the batch,
+    and 0.0 for a row whose every position was revealed. Without ``grad``
+    the same values come back with None, and neither posteriors nor a
+    softmax gradient are built; a target CTC cannot align then gives inf
+    instead of raising.
     """
+    single = logits.ndim == 2
+    if single:
+        logits, labels, mask, lens = logits[None], [labels], [mask], [logits.shape[0]]
+    elif lens is None or len(lens) != len(logits) or len(labels) != len(logits):
+        raise ModelError("a batch needs one target and one decoder length per row")
+    elif max(lens) > logits.shape[1]:
+        raise ModelError(f"decoder length {max(lens)} exceeds the padded length {logits.shape[1]}")
+    masks = [None] * len(logits) if mask is None else mask
     if ctc:
-        if grad:
-            return ctc_loss_logits(logits, labels)
-        return -ctc_forward(log_softmax(logits), labels), None
-    target = np.asarray(labels, dtype=np.int64)
-    if logits.shape[0] != len(target):
-        raise ModelError(f"decoder length {logits.shape[0]} != target length {len(target)}")
-    keep = np.ones(len(target), dtype=bool)
-    if mask is not None and len(mask) > 0:
-        if mask.target_len != len(target):
-            raise ModelError("glance mask does not cover the target")
-        keep[np.asarray(mask.positions, dtype=np.int64)] = False
-    rows = np.nonzero(keep)[0]
-    if len(rows) == 0:
-        return 0.0, np.zeros_like(logits) if grad else None
-    return _ce_rows(logits, target, rows, grad)
+        values = []
+        dlogits = np.zeros(logits.shape) if grad else None
+        for b, (T, target) in enumerate(zip(lens, labels)):
+            if grad:
+                value, dlogits[b, :T] = ctc_loss_logits(logits[b, :T], target)
+            else:
+                value = -ctc_forward(log_softmax(logits[b, :T]), target)
+            values.append(value)
+    else:
+        targets = np.zeros(logits.shape[:2], dtype=np.int64)
+        keep = np.zeros(logits.shape[:2], dtype=bool)
+        for b, (T, target, m) in enumerate(zip(lens, labels, masks)):
+            if T != len(target):
+                raise ModelError(f"decoder length {T} != target length {len(target)}")
+            targets[b, :T] = target
+            keep[b, :T] = True
+            if m is not None and len(m) > 0:
+                if m.target_len != T:
+                    raise ModelError("glance mask does not cover the target")
+                keep[b, list(m.positions)] = False
+        values, dlogits = _cross_entropy(logits, targets, keep, grad)
+    if single:
+        return values[0], None if dlogits is None else dlogits[0]
+    return values, dlogits
 
 
 def length_target_class(config: ModelConfig, src_len: int, tgt_len: int) -> tuple[int, bool]:
@@ -694,13 +737,25 @@ def length_target_class(config: ModelConfig, src_len: int, tgt_len: int) -> tupl
     return cls, cls != raw
 
 
-def loss_length(length_logits: np.ndarray | None, cls: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy of one sentence's length-head logits against a
-    :func:`length_target_class` class."""
+def loss_length(
+    length_logits: np.ndarray | None,
+    cls: int | Sequence[int],
+    grad: bool = True,
+) -> tuple[float | list[float], np.ndarray | None]:
+    """Cross-entropy of the length head's logits against
+    :func:`length_target_class` classes: one sentence's (C,) logits and one
+    class (a float), or a batch's (B, C) and one class per row (a list),
+    through the same softmax as :func:`token_loss`. With ``grad``, the
+    logit gradient is shaped like ``length_logits``."""
     if length_logits is None:
         raise ModelError("model has no length head")
-    loss, d = _ce_rows(length_logits[None, :], np.array([cls]), np.array([0]))
-    return loss, d[0]
+    single = length_logits.ndim == 1
+    classes = np.array([cls] if single else cls, dtype=np.int64)
+    logits = length_logits.reshape(len(classes), 1, -1)
+    values, dlogits = _cross_entropy(logits, classes[:, None], np.ones((len(classes), 1), dtype=bool), grad)
+    if dlogits is not None:
+        dlogits = dlogits.reshape(length_logits.shape)
+    return (values[0] if single else values), dlogits
 
 
 def predicted_length(config: ModelConfig, src_len: int, length_logits: np.ndarray) -> int:

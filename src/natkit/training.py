@@ -2,10 +2,14 @@
 
 The training step is pure given (params, batch, step, seed): per-step RNG is
 derived from the pair, and a batch runs as one padded (B, T, d) forward and
-one backward, so reruns are bit-identical single threaded. The loss heads
-stay per row: each reads its row's unpadded slice of the logits, and the
-logit gradients are scattered back into one padded array, zero on padded
-positions. A row's loss equals its pair's loss run alone up to rounding.
+one backward, so reruns are bit-identical single threaded. The
+cross-entropy and length heads run on the batch: one softmax per supervised
+layer over the padded (B, T, V) logits, with padded and revealed positions
+masked out. The CTC lattice and the glance pass's Viterbi still run per row
+on each row's unpadded slice, because a batched lattice (ROADMAP item 1)
+changes what the benchmark's tracer times as one call. Every head leaves a
+zero logit gradient on padded positions, and a row's loss equals its pair's
+loss run alone up to rounding.
 
 The objective is one recipe whose parts stack. Each decoder layer has one
 token loss, :func:`natkit.model.token_loss`: the CTC marginal in alignment
@@ -186,9 +190,11 @@ def _batch_pass(
     A pair is skipped when its source or its decoder length exceeds
     ``max_len``, when CTC cannot align the target at the decoder length, or
     when a length-mode target is empty. The others run as one padded
-    forward (two with glancing) and one backward. Each loss head reads its
-    row's unpadded slice, so padded positions get a zero logit gradient. In
-    eval mode (``train`` False) only values are computed.
+    forward (two with glancing) and one backward. The cross-entropy and
+    length heads score the whole batch at once; the CTC lattice and the
+    glance sampling run row by row, in batch order. Padded positions get a
+    zero logit gradient. In eval mode (``train`` False) only values are
+    computed.
     """
     mode = config.mode
     ctc = mode == "ctc"
@@ -213,18 +219,20 @@ def _batch_pass(
     glances = None
     if lam is not None:
         last = forward(params, config, srcs, lens, train=False).logits[-1]
+        pred = np.argmax(last, axis=-1)
+        if ctc:
+            table, finite = log_softmax(last), np.isfinite(last).all(axis=-1)
         glances = []
         for b, (_, _, T, labels, _) in enumerate(rows):
-            row, glance = last[b, :T], None
+            row_pred, glance = tuple(pred[b, :T].tolist()), None
             if mode == "length":
-                pred = tuple(int(v) for v in np.argmax(row, axis=1))
-                out.hamming += hamming(labels, pred)
-                glance = sample_glance(labels, glance_count(labels, pred, lam), rng)
-            elif np.all(np.isfinite(row)):
+                out.hamming += hamming(labels, row_pred)
+                glance = sample_glance(labels, glance_count(labels, row_pred, lam), rng)
+            elif finite[b, :T].all():
                 # poisoned logits cannot be aligned; let the training pass go
                 # through unglanced so its non-finite loss reports the divergence
-                glance, aligned = glance_inputs_ctc(labels, log_softmax(row), lam, rng)
-                out.hamming += hamming(aligned, tuple(int(v) for v in np.argmax(row, axis=1)))
+                glance, aligned = glance_inputs_ctc(labels, table[b, :T], lam, rng)
+                out.hamming += hamming(aligned, row_pred)
             out.revealed += len(glance) if glance is not None else 0
             glances.append(glance)
     states = forward(params, config, srcs, lens, prev_ids=prevs, glance=glances, train=train, rng=rng)
@@ -233,27 +241,27 @@ def _batch_pass(
     # a single layer's value passes through bit for bit.
     L = len(states.logits)
     supervised = range(L) if config.deep_supervision else range(L - 1, L)
-    dlogits = [np.zeros_like(states.logits[l]) if train and l in supervised else None
-               for l in range(L)]
-    dlength = np.zeros_like(states.length_logits) if train and mode == "length" else None
-    for b, (src, tgt, T, labels, _) in enumerate(rows):
-        glance = glances[b] if glances else None
-        val = -0.0
-        for l in supervised:
-            v, dl = token_loss(states.logits[l][b, :T], labels, ctc=ctc, mask=glance, grad=train)
-            val += v
-            if train:
-                dlogits[l][b, :T] = dl / len(supervised)
+    targets = [r[3] for r in rows]
+    token = [-0.0] * len(rows)
+    dlogits = [None] * L
+    for l in supervised:
+        values, dl = token_loss(states.logits[l], targets, ctc=ctc, mask=glances, grad=train, lens=lens)
+        token = [t + v for t, v in zip(token, values)]
+        if train:
+            dlogits[l] = dl / len(supervised)
+    dlength = None
+    if mode == "length":
+        classes = [length_target_class(config, len(src), len(tgt)) for src, tgt, *_ in rows]
+        len_values, dlen = loss_length(states.length_logits, [c for c, _ in classes], grad=train)
+        if train:
+            dlength = hyper.length_loss_weight * dlen
+    for b, val in enumerate(token):
         val /= len(supervised)
         components = {"token": val}
         if mode == "length":
-            cls, clamped = length_target_class(config, len(src), len(tgt))
-            len_val, dlen = loss_length(states.length_logits[b], cls)
-            components["length"] = len_val
-            components["length_clamped"] = 1.0 if clamped else 0.0
-            val = val + hyper.length_loss_weight * len_val
-            if train:
-                dlength[b] = hyper.length_loss_weight * dlen
+            components["length"] = len_values[b]
+            components["length_clamped"] = 1.0 if classes[b][1] else 0.0
+            val = val + hyper.length_loss_weight * len_values[b]
         out.values.append(val)
         out.components.append(components)
     if train:

@@ -163,6 +163,13 @@ class TestBadHeader:
         with pytest.raises(CheckpointError, match="not a mapping"):
             load_checkpoint(path)
 
+    def test_header_not_utf8(self, tmp_path):
+        cfg, vocab, params, path = fixture(tmp_path)
+        save_checkpoint(path, params, cfg, vocab)
+        path.write_bytes(path.read_bytes().replace(b'"config"', b'"co\xe9fig"', 1))
+        with pytest.raises(CheckpointError, match="unreadable checkpoint header"):
+            load_checkpoint(path)
+
     def test_manifest_lacks_a_tensor(self, tmp_path):
         cfg, vocab, params, path = fixture(tmp_path)
         save_checkpoint(path, params, cfg, vocab)

@@ -363,7 +363,7 @@ class TestDecode:
         assert main(
             ["decode", "--checkpoint", str(trained["ckpt"]), "--src", str(bad)]
         ) == 2
-        assert "line 2" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {bad}:2: empty source line")
 
     @pytest.mark.parametrize("mode, n_long", [("ctc", 17), ("at", 21)])
     def test_over_long_line_named_exit_2(self, tmp_path, capsys, mode, n_long):
@@ -403,6 +403,13 @@ class TestDecode:
         assert main(["decode", "--checkpoint", str(bad), "--src", str(trained["src"])]) == 2
         assert message in capsys.readouterr().err
 
+    def test_checkpoint_header_not_utf8_exit_2(self, tmp_path, trained, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(trained["ckpt"].read_bytes().replace(b'"config"', b'"co\xe9fig"', 1))
+        assert main(["decode", "--checkpoint", str(bad), "--src", str(trained["src"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unreadable checkpoint header in {bad}: ")
+        assert "Traceback" not in err
 
     def test_checkpoint_with_foreign_specials_exit_2(self, tmp_path, trained, capsys):
         # four specials would make <eos> a content token and id 4 a word

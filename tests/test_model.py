@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from natkit.corpus import BLANK_ID, BOS_ID, EOS_ID, UNK_ID, TokenSeq
-from natkit.ctc import log_softmax
+from natkit.ctc import log_softmax, min_alignment_len
 from natkit.glancing import GlanceMask
 from natkit.model import (
     ACTIVATIONS,
@@ -388,6 +388,111 @@ class TestLossValues:
         val, dl = token_loss(logits, (6, 8, 10), ctc=ctc, mask=mask)
         assert dl.shape == logits.shape
         assert token_loss(logits, (6, 8, 10), ctc=ctc, mask=mask, grad=False) == (val, None)
+
+
+@st.composite
+def loss_batches(draw):
+    """A padded batch for one loss head: per-row decoder lengths, targets and
+    glance masks, and a seed for (B, T_max, V) logits on 1 or 2 layers.
+    Cross-entropy rows have a target per position and masks from none to all
+    positions; CTC rows have feasible targets at their decoder length."""
+    ctc = draw(st.booleans())
+    n_rows = draw(st.integers(1, 5))
+    lens, labels, masks = [], [], []
+    for _ in range(n_rows):
+        if ctc:
+            target = tuple(draw(st.lists(st.sampled_from((5, 6, 7)), min_size=1, max_size=4)))
+            lens.append(min_alignment_len(target) + draw(st.integers(0, 3)))
+            masks.append(None)
+        else:
+            T = draw(st.integers(1, 12))
+            target = tuple(draw(st.lists(st.integers(0, V - 1), min_size=T, max_size=T)))
+            lens.append(T)
+            kind = draw(st.sampled_from(("none", "empty", "some", "all")))
+            if kind == "none":
+                masks.append(None)
+            else:
+                pos = {"empty": [], "all": list(range(T))}.get(kind) or sorted(
+                    draw(st.sets(st.integers(0, T - 1), min_size=1, max_size=T)))
+                masks.append(GlanceMask(tuple(pos), tuple(target[p] for p in pos), T))
+        labels.append(target)
+    return ctc, lens, labels, masks, draw(st.integers(1, 2)), draw(st.integers(0, 2**32 - 1))
+
+
+def _parent_ce_row(logits, target, mask):
+    """One row's position-wise cross-entropy as it was computed one row at a
+    time: the mean over the unrevealed positions' compacted picks."""
+    target = np.asarray(target)
+    revealed = set(mask.positions) if mask is not None else set()
+    rows = np.array([t for t in range(len(target)) if t not in revealed], dtype=np.int64)
+    dlogits = np.zeros_like(logits)
+    if len(rows) == 0:
+        return 0.0, dlogits
+    logp = log_softmax(logits)
+    n = len(rows)
+    probs = np.exp(logp[rows])
+    probs[np.arange(n), target[rows]] -= 1.0
+    dlogits[rows] = probs / n
+    return -float(logp[rows, target[rows]].sum()) / n, dlogits
+
+
+class TestBatchedLossHeads:
+    """A batched loss head against the same rows one at a time: values and
+    gradients bit-equal, values Python floats, padded positions 0."""
+
+    @settings(max_examples=150)
+    @given(loss_batches())
+    def test_token_loss_rows_bit_equal(self, case):
+        ctc, lens, labels, masks, n_layers, seed = case
+        rng = np.random.default_rng(seed)
+        B, T_max = len(lens), max(lens)
+        layers = [rng.normal(0.0, 3.0, size=(B, T_max, V)) for _ in range(n_layers)]
+        # the deep-supervision average, as the training objective forms it
+        values, grad = [-0.0] * B, np.zeros((B, T_max, V))
+        for logits in layers:
+            vals, dl = token_loss(logits, labels, ctc=ctc, mask=masks, lens=lens)
+            assert all(type(v) is float for v in vals)
+            values = [a + v for a, v in zip(values, vals)]
+            grad += dl / n_layers
+        for b, (T, target, mask) in enumerate(zip(lens, labels, masks)):
+            value, row_grad = -0.0, np.zeros((T, V))
+            for logits in layers:
+                v, dl = token_loss(logits[b, :T], target, ctc=ctc, mask=mask)
+                assert type(v) is float
+                if not ctc:
+                    want, want_grad = _parent_ce_row(logits[b, :T], target, mask)
+                    assert v == want and dl.tobytes() == want_grad.tobytes()
+                value += v
+                row_grad += dl / n_layers
+            assert values[b] == value
+            assert grad[b, :T].tobytes() == row_grad.tobytes()
+            pad = grad[b, T:]
+            assert np.all(pad == 0) and not np.signbit(pad).any()
+            if mask is not None and len(mask) == T:
+                assert value == 0.0 and np.all(grad[b] == 0)
+
+    @settings(max_examples=150)
+    @given(st.lists(st.integers(0, 8), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+    def test_length_loss_rows_bit_equal(self, classes, seed):
+        logits = np.random.default_rng(seed).normal(0.0, 3.0, size=(len(classes), 9))
+        values, grad = loss_length(logits, classes)
+        assert grad.shape == logits.shape
+        assert loss_length(logits, classes, grad=False) == (values, None)
+        for b, cls in enumerate(classes):
+            value, row_grad = loss_length(logits[b], cls)
+            assert type(values[b]) is float and values[b] == value
+            assert grad[b].tobytes() == row_grad.tobytes()
+            want, want_grad = _parent_ce_row(logits[b][None], (cls,), None)
+            assert value == want and row_grad.tobytes() == want_grad[0].tobytes()
+
+    def test_batch_needs_lengths(self):
+        logits = np.zeros((2, 3, V))
+        with pytest.raises(ModelError, match="one decoder length per row"):
+            token_loss(logits, [(5, 6, 7), (5,)])
+        with pytest.raises(ModelError, match="decoder length 2 != target length 3"):
+            token_loss(logits, [(5, 6, 7), (5,)], lens=[2, 1])
+        with pytest.raises(ModelError, match="decoder length 4 exceeds the padded length 3"):
+            token_loss(logits, [(5, 6, 7, 8), (5,)], lens=[4, 1])
 
 
 class TestDeepSupervision:
