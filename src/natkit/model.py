@@ -17,17 +17,17 @@ Architecture (all single head, no layer norm):
 Parameters live in a flat ``dict[str, np.ndarray]``; gradients mirror it
 key for key. Forward passes record a cache consumed by :func:`backward`.
 
-Batch axis. :func:`forward` takes one sentence (2-D activations, (T, V)
-logits) or a batch (a leading axis B). The sublayers are written once for
-both: matrix products act on the last two axes, and weight gradients sum
-over every row of ``reshape(-1, d)``. A batch pads its sources and decoder
-inputs with PAD_ID to the longest row, and the padding rule is:
+Batch axis. Everything runs on a batch: sources and decoder inputs padded
+with PAD_ID to the longest row, (B, T_max, d) activations. :func:`forward`
+also accepts one sentence, and :func:`decode` and :func:`decode_at` take
+one; each runs it as a batch of one. Weight gradients sum over every row
+of ``reshape(-1, d)``. The padding rule:
 
 - attention hides padded keys: encoder positions past a row's source
   length in cross-attention, decoder positions past its decoder length in
   self-attention (with the causal mask in autoregressive mode). The mask
-  is None when every row has the same length, so a one-sentence call and
-  a full batch run no mask at all;
+  is None when every row has the same length, so a batch of one runs no
+  mask at all;
 - the length head mean-pools a row's real source positions only;
 - padded positions still compute (finite) values, but their logit
   gradient is zero, so they add nothing to any parameter gradient;
@@ -37,12 +37,11 @@ inputs with PAD_ID to the longest row, and the padding rule is:
 A padded row's logits equal the row run alone up to rounding.
 
 Losses come back with gradients in logit space. One token loss,
-:func:`token_loss`, serves every mode and scores one decoder layer's logits,
-of one sentence or of a padded batch; training applies it to the last
-layer, or averages it over every layer for deep supervision, and
-length-mode models add :func:`loss_length`. Both cross-entropies share one
-softmax over the batch, and one sentence is a batch of one; the CTC loss
-runs its lattice row by row.
+:func:`token_loss`, serves every mode and scores one decoder layer's padded
+logits; training applies it to the last layer, or averages it over every
+layer for deep supervision, and length-mode models add :func:`loss_length`.
+Both cross-entropies share one softmax over the batch; the CTC loss runs
+its lattice row by row.
 """
 
 from __future__ import annotations
@@ -276,49 +275,39 @@ def _drop_back(d: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Rows(NamedTuple):
-    """Token ids of one sentence, or of a batch padded with PAD_ID.
-
-    One sentence keeps 1-D ids and an int length. A batch holds (B, L_max)
-    ids, (B,) lengths and a (B, L_max) mask of the real positions, which is
-    None when every row has the same length.
-    """
+    """A batch of token-id rows padded with PAD_ID: (B, L_max) ids, (B,)
+    lengths and a (B, L_max) mask of the real positions, which is None when
+    every row has the same length."""
 
     ids: np.ndarray
-    lens: int | np.ndarray
+    lens: np.ndarray
     real: np.ndarray | None
 
 
-def _real(lens: np.ndarray) -> np.ndarray | None:
+def _real(lens: Sequence[int]) -> np.ndarray | None:
     """(B, max) mask of the real positions of rows of ``lens``; None if all are equal."""
-    if np.all(lens == lens[0]):
+    if min(lens) == max(lens):
         return None
-    return np.arange(lens.max()) < lens[:, None]
+    return np.arange(max(lens)) < np.asarray(lens)[:, None]
 
 
-def _rows(seqs, batched: bool) -> _Rows:
-    if not batched:
-        return _Rows(np.asarray(seqs, dtype=np.int64), len(seqs), None)
-    if len(seqs) == 0:
+def _rows(seqs: Sequence[Sequence[int]]) -> _Rows:
+    lens = [len(s) for s in seqs]
+    if not lens:
         raise ModelError("empty batch")
-    lens = np.array([len(s) for s in seqs], dtype=np.int64)
-    ids = np.full((len(seqs), int(lens.max())), PAD_ID, dtype=np.int64)
-    for b, s in enumerate(seqs):
-        ids[b, :len(s)] = s
-    return _Rows(ids, lens, _real(lens))
-
-
-def _is_batch(decoder_len) -> bool:
-    return not isinstance(decoder_len, (int, np.integer))
+    real = _real(lens)
+    if real is None:
+        ids = np.array(seqs, dtype=np.int64)
+    else:
+        ids = np.full(real.shape, PAD_ID, dtype=np.int64)
+        for b, s in enumerate(seqs):
+            ids[b, :len(s)] = s
+    return _Rows(ids, np.array(lens, dtype=np.int64), real)
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
     """(..., n) as (rows, n): every position of every batch row is one row."""
     return a.reshape(-1, a.shape[-1])
-
-
-def _per_position(a: np.ndarray) -> np.ndarray:
-    """(..., L, d) summed over any batch axis to (L, d)."""
-    return a.reshape(-1, *a.shape[-2:]).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,32 +363,29 @@ def _ffn_back(params, config: ModelConfig, prefix, dx, cache, grads: Params):
 # Decoder inputs
 # ---------------------------------------------------------------------------
 
-def decoder_inputs(
+def _decoder_inputs(
     params: Params,
     config: ModelConfig,
-    src_ids: Sequence[int] | Sequence[Sequence[int]],
-    decoder_len: int | Sequence[int],
-    glance: GlanceMask | Sequence[GlanceMask | None] | None = None,
+    src: _Rows,
+    decoder_len: Sequence[int],
+    glance: Sequence[GlanceMask | None] | None,
 ) -> tuple[np.ndarray, dict]:
-    """Pre-positional decoder input rows for the configured strategy.
+    """(B, T_max, d) pre-positional decoder inputs for the configured strategy.
 
-    One sentence or a batch, as in :func:`forward`, with ``glance`` one
-    mask (or None) per batch row. A padded position gets an input as if its
-    row went on: ``uniform_copy`` copies the row's last source token there.
-    Glanced positions are overwritten with the ground-truth token embeddings
+    ``decoder_len`` and ``glance`` hold one length and one mask (or None)
+    per row of ``src``. A padded position gets an input as if its row went
+    on: ``uniform_copy`` copies the row's last source token there. Glanced
+    positions are overwritten with the ground-truth token embeddings
     verbatim, so the revealed rows are exact copies of embedding rows.
     """
-    batched = _is_batch(decoder_len)
-    src = _rows(src_ids, batched)
     E = params["emb"]
-    T = int(max(decoder_len)) if batched else decoder_len
-    lead = src.ids.shape[:-1]
+    T = max(decoder_len)
     cache: dict = {"strategy": config.decoder_input}
     if config.decoder_input == "unk":
-        base = np.tile(E[UNK_ID], lead + (T, 1))
+        base = np.tile(E[UNK_ID], (len(src.ids), T, 1))
     elif config.decoder_input == "uniform_copy":
-        J = np.asarray(src.lens)[..., None]
-        idx = np.floor(np.arange(T) * J / np.asarray(decoder_len)[..., None]).astype(np.int64)
+        J = src.lens[:, None]
+        idx = np.floor(np.arange(T) * J / np.asarray(decoder_len)[:, None]).astype(np.int64)
         idx = np.minimum(idx, J - 1)
         tokens = np.take_along_axis(src.ids, idx, axis=-1)
         base = E[tokens]
@@ -417,8 +403,7 @@ def decoder_inputs(
         base = w @ src_emb
         cache.update(w=w, dist=dist, tau=tau, src=src.ids, src_emb=src_emb)
     if glance is not None:
-        _reveal(base, glance if batched else [glance], decoder_len if batched else [decoder_len],
-                E, cache)
+        _reveal(base, glance, decoder_len, E, cache)
     return base, cache
 
 
@@ -434,7 +419,7 @@ def _reveal(base, masks, lens, E, cache) -> None:
         pos = np.concatenate([m.positions for _, m in hits]).astype(np.int64)
         revealed = np.concatenate([m.revealed for _, m in hits]).astype(np.int64)
         rows = np.repeat([r for r, _ in hits], [len(m) for _, m in hits])
-        where = (rows, pos) if base.ndim == 3 else (pos,)
+        where = (rows, pos)
         base[where] = E[revealed]
         cache["glance"] = (where, revealed)
 
@@ -461,8 +446,8 @@ def _decoder_inputs_backward(dbase: np.ndarray, cache: dict, dE: np.ndarray, dpa
 # Forward
 # ---------------------------------------------------------------------------
 
-def _encode(params, config: ModelConfig, src_ids, train, rng, batched=False):
-    src = _rows(src_ids, batched)
+def _encode(params, config: ModelConfig, src_ids, train, rng):
+    src = _rows(src_ids)
     J = src.ids.shape[-1]
     if J < 1 or (src.real is not None and src.lens.min() < 1):
         raise ModelError("empty source")
@@ -528,32 +513,36 @@ def forward(
 ) -> LayerStates:
     """Full pass: encoder, length head (length mode), decoder stack, logits.
 
-    One sentence: ``src_ids`` is a sequence of ids and ``decoder_len`` an
-    int, and each layer's logits are (T, V). A batch: ``src_ids`` is a
-    sequence of sentences and ``decoder_len`` one length per row, and each
-    layer's logits are (B, T_max, V), padded as the module docstring says.
-    ``prev_ids`` (per row in a batch) replaces the strategy inputs with
-    token embeddings in autoregressive mode; ``glance`` (one mask or None
-    per row in a batch) overwrites revealed positions.
+    ``src_ids`` is a batch of sentences and ``decoder_len`` one length per
+    row; each layer's logits are (B, T_max, V) and the length logits
+    (B, C), padded as the module docstring says. ``prev_ids`` (one row per
+    sentence) replaces the strategy inputs with token embeddings in
+    autoregressive mode; ``glance`` (one mask or None per sentence)
+    overwrites revealed positions. One sentence, with an int
+    ``decoder_len`` and its own ``prev_ids`` and ``glance``, runs as a
+    batch of one, and its logits come back as (T, V) and (C,).
     """
-    batched = _is_batch(decoder_len)
-    if batched and len(decoder_len) != len(src_ids):
+    single = isinstance(decoder_len, (int, np.integer))
+    if single:
+        src_ids, decoder_len = [src_ids], [decoder_len]
+        prev_ids = None if prev_ids is None else [prev_ids]
+        glance = None if glance is None else [glance]
+    elif len(decoder_len) != len(src_ids):
         raise ModelError(f"{len(decoder_len)} decoder lengths for {len(src_ids)} sources")
-    enc_out, length_logits, enc_cache = _encode(params, config, src_ids, train, rng, batched)
+    enc_out, length_logits, enc_cache = _encode(params, config, src_ids, train, rng)
     src = enc_cache["src"]
-    dec_len = np.atleast_1d(decoder_len)
     if config.autoregressive:
-        prev = None if prev_ids is None else _rows(prev_ids, batched)
-        if prev is None or not np.array_equal(np.atleast_1d(prev.lens), dec_len):
+        prev = None if prev_ids is None else _rows(prev_ids)
+        if prev is None or not np.array_equal(prev.lens, decoder_len):
             raise ModelError("autoregressive forward needs prev_ids matching decoder_len")
         if glance is not None:
             raise ModelError("glancing applies to parallel decoding only")
         base = params["emb"][prev.ids]
         in_cache: dict = {"strategy": "tokens", "prev": prev.ids}
     else:
-        base, in_cache = decoder_inputs(params, config, src_ids, decoder_len, glance)
-    dec_real = _real(dec_len) if batched else None
-    logits, dec_cache = _decode_stack(params, config, enc_out, base, train, rng, src.real, dec_real)
+        base, in_cache = _decoder_inputs(params, config, src, decoder_len, glance)
+    logits, dec_cache = _decode_stack(params, config, enc_out, base, train, rng, src.real,
+                                      _real(decoder_len))
     cache = {
         "config": config,
         "enc": enc_cache,
@@ -562,6 +551,9 @@ def forward(
         "base": base,
         "dec": dec_cache,
     }
+    if single:
+        logits = [x[0] for x in logits]
+        length_logits = None if length_logits is None else length_logits[0]
     return LayerStates(logits=logits, length_logits=length_logits, cache=cache)
 
 
@@ -597,6 +589,7 @@ def backward(
     for l in range(config.dec_layers - 1, -1, -1):
         dl = dlogits[l]
         if dl is not None:
+            dl = dl.reshape(*hidden[l].shape[:-1], -1)  # one sentence's (T, V) as (1, T, V)
             dE += _flat(dl).T @ _flat(hidden[l])
             dx = dx + dl @ E
         entry = dec["layers"][l]
@@ -608,7 +601,7 @@ def backward(
             dx = dx + dmem
 
     dx0 = _drop_back(dx, dec["in_mask"])
-    grads["pos_dec"][:dx0.shape[-2]] += _per_position(dx0)
+    grads["pos_dec"][:dx0.shape[-2]] += dx0.sum(axis=0)
     in_cache = cache["input"]
     if in_cache["strategy"] == "tokens":
         np.add.at(dE, in_cache["prev"].ravel(), _flat(dx0))
@@ -620,16 +613,17 @@ def backward(
     if dlength is not None:
         if config.mode != "length":
             raise ModelError("length gradient supplied but the model has no length head")
-        grads["len_W"] += _flat(enc["pooled"]).T @ _flat(dlength)
-        grads["len_b"] += _flat(dlength).sum(axis=0)
-        dpool = ((dlength @ params["len_W"].T) / np.asarray(src.lens)[..., None])[..., None, :]
+        dlength = dlength.reshape(len(src.ids), -1)  # one sentence's (C,) as (1, C)
+        grads["len_W"] += enc["pooled"].T @ dlength
+        grads["len_b"] += dlength.sum(axis=0)
+        dpool = ((dlength @ params["len_W"].T) / src.lens[:, None])[:, None, :]
         denc += dpool if src.real is None else dpool * src.real[..., None]
 
     dx = denc
     for l in range(config.enc_layers - 1, -1, -1):
         dx = _ffn_back(params, config, f"enc{l}_", dx, enc["layers"][l], grads)
     dx0 = _drop_back(dx, enc["in_mask"])
-    grads["pos_enc"][:dx0.shape[-2]] += _per_position(dx0)
+    grads["pos_enc"][:dx0.shape[-2]] += dx0.sum(axis=0)
     np.add.at(dE, src.ids.ravel(), _flat(dx0))
     return grads
 
@@ -668,19 +662,18 @@ def _cross_entropy(logits: np.ndarray, targets: np.ndarray, keep: np.ndarray, gr
 
 def token_loss(
     logits: np.ndarray,
-    labels: Sequence[int] | Sequence[Sequence[int]],
+    labels: Sequence[Sequence[int]],
+    lens: Sequence[int],
     ctc: bool = False,
-    mask: GlanceMask | Sequence[GlanceMask | None] | None = None,
+    mask: Sequence[GlanceMask | None] | None = None,
     grad: bool = True,
-    lens: Sequence[int] | None = None,
-) -> tuple[float | list[float], np.ndarray | None]:
+) -> tuple[list[float], np.ndarray | None]:
     """One decoder layer's token loss and, with ``grad``, its logit gradient.
 
-    One sentence: (T, V) ``logits``, its ``labels`` and glance ``mask``; the
-    value is a float and the gradient (T, V). A batch: padded (B, T_max, V)
-    ``logits`` with one target, one mask (or None) and one decoder length in
-    ``lens`` per row; the values are a list and the gradient (B, T_max, V),
-    exactly 0 on padded positions. One sentence is a batch of one.
+    Padded (B, T_max, V) ``logits`` with one target in ``labels``, one
+    decoder length in ``lens`` and one glance mask (or None) in ``mask`` per
+    row; the values are a list of floats and the gradient (B, T_max, V),
+    exactly 0 on padded positions.
 
     With ``ctc`` it is the negative log alignment marginal, which glancing
     leaves whole, so ``mask`` is not read; each row runs its own lattice on
@@ -691,12 +684,11 @@ def token_loss(
     softmax gradient are built; a target CTC cannot align then gives inf
     instead of raising.
     """
-    single = logits.ndim == 2
-    if single:
-        logits, labels, mask, lens = logits[None], [labels], [mask], [logits.shape[0]]
-    elif lens is None or len(lens) != len(logits) or len(labels) != len(logits):
+    if len(lens) != len(logits) or len(labels) != len(logits):
         raise ModelError("a batch needs one target and one decoder length per row")
-    elif max(lens) > logits.shape[1]:
+    if mask is not None and len(mask) != len(logits):
+        raise ModelError(f"{len(mask)} glance masks for {len(logits)} rows")
+    if max(lens) > logits.shape[1]:
         raise ModelError(f"decoder length {max(lens)} exceeds the padded length {logits.shape[1]}")
     masks = [None] * len(logits) if mask is None else mask
     if ctc:
@@ -721,8 +713,6 @@ def token_loss(
                     raise ModelError("glance mask does not cover the target")
                 keep[b, list(m.positions)] = False
         values, dlogits = _cross_entropy(logits, targets, keep, grad)
-    if single:
-        return values[0], None if dlogits is None else dlogits[0]
     return values, dlogits
 
 
@@ -739,23 +729,21 @@ def length_target_class(config: ModelConfig, src_len: int, tgt_len: int) -> tupl
 
 def loss_length(
     length_logits: np.ndarray | None,
-    cls: int | Sequence[int],
+    cls: Sequence[int],
     grad: bool = True,
-) -> tuple[float | list[float], np.ndarray | None]:
-    """Cross-entropy of the length head's logits against
-    :func:`length_target_class` classes: one sentence's (C,) logits and one
-    class (a float), or a batch's (B, C) and one class per row (a list),
-    through the same softmax as :func:`token_loss`. With ``grad``, the
-    logit gradient is shaped like ``length_logits``."""
+) -> tuple[list[float], np.ndarray | None]:
+    """Cross-entropy of a batch's (B, C) length-head logits against one
+    :func:`length_target_class` class per row, through the same softmax as
+    :func:`token_loss`: a list of values and, with ``grad``, the (B, C)
+    logit gradient."""
     if length_logits is None:
         raise ModelError("model has no length head")
-    single = length_logits.ndim == 1
-    classes = np.array([cls] if single else cls, dtype=np.int64)
-    logits = length_logits.reshape(len(classes), 1, -1)
-    values, dlogits = _cross_entropy(logits, classes[:, None], np.ones((len(classes), 1), dtype=bool), grad)
-    if dlogits is not None:
-        dlogits = dlogits.reshape(length_logits.shape)
-    return (values[0] if single else values), dlogits
+    if len(cls) != len(length_logits):
+        raise ModelError(f"{len(cls)} length classes for {len(length_logits)} rows")
+    classes = np.array(cls, dtype=np.int64)
+    keep = np.ones((len(classes), 1), dtype=bool)
+    values, dlogits = _cross_entropy(length_logits[:, None, :], classes[:, None], keep, grad)
+    return values, None if dlogits is None else dlogits[:, 0]
 
 
 def predicted_length(config: ModelConfig, src_len: int, length_logits: np.ndarray) -> int:
@@ -783,18 +771,18 @@ def decode(
     """
     if config.autoregressive:
         return decode_at(params, config, src_ids, counter=counter)
-    enc_out, length_logits, _ = _encode(params, config, src_ids, train=False, rng=None)
+    enc_out, length_logits, enc_cache = _encode(params, config, [src_ids], train=False, rng=None)
     if config.mode == "ctc":
         T = len(src_ids) * int(config.upsample)
     else:
-        T = predicted_length(config, len(src_ids), length_logits)
+        T = predicted_length(config, len(src_ids), length_logits[0])
         if T == 0:
             return ()
-    base, _ = decoder_inputs(params, config, src_ids, T)
+    base, _ = _decoder_inputs(params, config, enc_cache["src"], [T], None)
     logits, _ = _decode_stack(params, config, enc_out, base, train=False, rng=None)
     if counter is not None:
         counter.tick()
-    ids = np.argmax(logits[-1], axis=1)
+    ids = np.argmax(logits[-1][0], axis=1)
     if config.mode == "ctc":
         return collapse(ids, BLANK_ID)
     return tuple(int(i) for i in ids)
@@ -819,7 +807,7 @@ def decode_at(
     """
     if not config.autoregressive:
         raise ModelError("decode_at needs an autoregressive config")
-    enc_out, _, _ = _encode(params, config, src_ids, train=False, rng=None)
+    enc_out = _encode(params, config, [src_ids], train=False, rng=None)[0][0]  # (J, d)
     E, pos = params["emb"], params["pos_dec"]
     d = config.d_model
     scale = 1.0 / math.sqrt(d)

@@ -52,6 +52,12 @@ from natkit.training import TrainConfig, _batch_pass, train_model
 from natkit import __version__
 
 
+def _token_loss1(logits, target, ctc=False):
+    """:func:`token_loss` of one sentence's (T, V) logits as a batch of one."""
+    values, dl = token_loss(logits[None], [target], [len(logits)], ctc=ctc)
+    return values[0], dl[0]
+
+
 def _report(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     suffix = f" [{detail}]" if detail else ""
@@ -186,9 +192,9 @@ def test_criterion_02_gradient_suite():
         states = forward(params, cfg, src, J)
         target = tuple(int(x) for x in rng.integers(lo, V, size=J))
         x = states.logits[-1]
-        val, dl = token_loss(x, target)
+        val, dl = _token_loss1(x, target)
         coords = rng.choice(x.size, size=min(24, x.size), replace=False)
-        num = _fd_array(lambda: token_loss(x, target)[0], x, coords)
+        num = _fd_array(lambda: _token_loss1(x, target)[0], x, coords)
         for c, n in zip(coords, num):
             worst["nat"] = max(worst["nat"], _rel(dl.reshape(-1)[c], n))
 
@@ -199,9 +205,9 @@ def test_criterion_02_gradient_suite():
         cstates = forward(cparams, ccfg, src, 2 * J)
         ctar = _feasible_target(rng, lo, V, 2 * J)
         x = cstates.logits[-1]
-        cval, cdl = token_loss(x, ctar, ctc=True)
+        cval, cdl = _token_loss1(x, ctar, ctc=True)
         coords = rng.choice(x.size, size=min(24, x.size), replace=False)
-        num = _fd_array(lambda: token_loss(x, ctar, ctc=True)[0], x, coords)
+        num = _fd_array(lambda: _token_loss1(x, ctar, ctc=True)[0], x, coords)
         for c, n in zip(coords, num):
             worst["ctc"] = max(worst["ctc"], _rel(cdl.reshape(-1)[c], n))
 
@@ -248,10 +254,10 @@ def test_criterion_02_gradient_suite():
         # length-class loss on the pooled head
         lstates = forward(params, cfg, src, J)
         cls, _ = length_target_class(cfg, J, J + 1)
-        lval, dlen_grad = loss_length(lstates.length_logits, cls)
-        x = lstates.length_logits
+        x = lstates.length_logits[None]  # the batch of one
+        lval, dlen_grad = loss_length(x, [cls])
         coords = rng.choice(x.size, size=min(20, x.size), replace=False)
-        num = _fd_array(lambda: loss_length(lstates.length_logits, cls)[0], x, coords)
+        num = _fd_array(lambda: loss_length(x, [cls])[0][0], x, coords)
         for c, n in zip(coords, num):
             worst["length"] = max(worst["length"], _rel(dlen_grad.reshape(-1)[c], n))
 
@@ -342,14 +348,14 @@ def test_criterion_05_deep_supervision():
                       decoder_input="uniform_copy", deep_supervision=True, max_len=16)
     params = init_params(one, seed=0)
     states = forward(params, one, src, J)
-    base_val, _ = token_loss(states.logits[-1], target)
+    base_val, _ = _token_loss1(states.logits[-1], target)
     ok = token_value(one, params) == base_val  # single layer: bit-exact
 
     three = ModelConfig(vocab_size=V, d_model=8, enc_layers=1, dec_layers=3,
                         decoder_input="uniform_copy", deep_supervision=True, max_len=16)
     params3 = init_params(three, seed=1)
     states3 = forward(params3, three, src, J)
-    per_layer = [token_loss(states3.logits[l], target)[0] for l in range(3)]
+    per_layer = [_token_loss1(states3.logits[l], target)[0] for l in range(3)]
     ok = ok and len(set(per_layer)) == 3
     ok = ok and token_value(three, params3) == sum(per_layer) / 3
     _report(5, "layer-averaged supervision identities", ok)

@@ -634,18 +634,29 @@ class TestNotUtf8:
         self.assert_named(capsys, ini, 6)
 
 
-_FUZZ_WORDS = ["a", "b", "café", "naïve", "日本語", "ß", "«x»", "—", "1,000.", "\u00a0"]
-_fuzz_line = st.tuples(
-    st.one_of(st.lists(st.sampled_from(_FUZZ_WORDS), max_size=5).map(" ".join),
-              st.sampled_from([" ", "\t", " \t "])),
-    st.sampled_from([b"", b"", b"", b"\xff", b"caf\xe9", b"\xc3"]),
-    st.sampled_from([b"\n", b"\r\n"]),
-).map(lambda t: t[0].encode("utf-8") + t[1] + t[2])
+# w01 and w07 are words of the `trained` checkpoint's vocabulary
+_FUZZ_WORDS = ["a", "b", "café", "naïve", "日本語", "ß", "«x»", "—", "1,000.", "\u00a0", "w01", "w07"]
+
+
+def _fuzz_words(max_words):
+    """0 to ``max_words`` words joined by spaces."""
+    return st.integers(0, max_words).flatmap(
+        lambda n: st.lists(st.sampled_from(_FUZZ_WORDS), min_size=n, max_size=n)).map(" ".join)
+
+
+def _fuzz_line(max_words):
+    """One line: 0 to ``max_words`` words or blanks only, maybe a byte that
+    is not UTF-8, and an LF or CRLF end."""
+    return st.tuples(
+        st.one_of(_fuzz_words(max_words), st.sampled_from([" ", "\t", " \t "])),
+        st.sampled_from([b"", b"", b"", b"\xff", b"caf\xe9", b"\xc3"]),
+        st.sampled_from([b"\n", b"\r\n"]),
+    ).map(lambda t: t[0].encode("utf-8") + t[1] + t[2])
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 5).flatmap(
-    lambda n: st.tuples(*[st.lists(_fuzz_line, min_size=n, max_size=n).map(b"".join)] * 2)))
+    lambda n: st.tuples(*[st.lists(_fuzz_line(5), min_size=n, max_size=n).map(b"".join)] * 2)))
 def test_score_fuzz_exit_0_or_named_line(files):
     # empty, whitespace-only and non-ASCII lines, CRLF endings, bad bytes
     with tempfile.TemporaryDirectory() as tmp:
@@ -661,6 +672,51 @@ def test_score_fuzz_exit_0_or_named_line(files):
         assert re.match(rf"error: ({re.escape(str(hyp))}|{re.escape(str(ref))}):\d+: ", err), err
     else:
         assert code == 0 and err == ""
+
+
+def _first_bad_source_line(text: bytes):
+    """(line, reason) that `natkit decode` must report for this source file
+    with the `trained` checkpoint (upsample 2, max_len 24), or None."""
+    lines = [line.removesuffix(b"\r") for line in text.split(b"\n")[:-1]]
+    for i, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return i, "not valid UTF-8"
+    words = [len(line.decode("utf-8").split()) for line in lines]
+    for i, n in enumerate(words, start=1):
+        if n == 0:
+            return i, "empty source line"
+    for i, n in enumerate(words, start=1):
+        if 2 * n > 24:
+            return i, f"decoder length {2 * n} exceeds max_len=24"
+    return None
+
+
+# half the fuzz lines are words only, so that whole files decode often
+_source_line = st.one_of(_fuzz_line(15), _fuzz_words(15).map(lambda s: s.encode("utf-8") + b"\n"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_source_line, min_size=1, max_size=5).map(b"".join))
+def test_decode_fuzz_exit_0_or_named_line(trained, text):
+    # lines over 12 words need more than max_len decoder positions
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "src.txt", Path(tmp) / "hyp.txt"
+        src.write_bytes(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["decode", "--checkpoint", str(trained["ckpt"]), "--src", str(src),
+                         "--out", str(out)])
+        err = err.getvalue()
+        assert "Traceback" not in err
+        bad = _first_bad_source_line(text)
+        if bad is None:
+            assert code == 0 and err == ""
+            assert out.read_bytes().count(b"\n") == text.count(b"\n")
+        else:
+            assert code == 2 and err == f"error: {src}:{bad[0]}: {bad[1]}\n"
+            assert not out.exists()
 
 
 class TestTopLevel:

@@ -18,13 +18,14 @@ from natkit.model import (
     backward,
     decode,
     decode_at,
-    decoder_inputs,
     forward,
     init_params,
     length_target_class,
     loss_length,
     predicted_length,
     token_loss,
+    _decoder_inputs,
+    _rows,
 )
 from natkit.training import TrainConfig, _batch_pass
 
@@ -37,6 +38,25 @@ def cfg(**kw):
     base = dict(vocab_size=V, d_model=8, enc_layers=2, dec_layers=2, max_len=32)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def loss1(logits, target, ctc=False, mask=None, grad=True):
+    """:func:`token_loss` of one sentence's (T, V) logits as a batch of one:
+    its value and its (T, V) gradient."""
+    values, dl = token_loss(logits[None], [target], [len(logits)], ctc=ctc, mask=[mask], grad=grad)
+    return values[0], None if dl is None else dl[0]
+
+
+def length_loss1(length_logits, cls):
+    """:func:`loss_length` of one sentence's (C,) logits as a batch of one."""
+    values, dl = loss_length(length_logits[None], [cls])
+    return values[0], dl[0]
+
+
+def inputs1(p, c, T, glance=None):
+    """SRC's decoder inputs at length T as a batch of one: (T, d) and the cache."""
+    base, cache = _decoder_inputs(p, c, _rows([SRC]), [T], None if glance is None else [glance])
+    return base[0], cache
 
 
 class TestConfig:
@@ -117,8 +137,8 @@ class TestForwardShapes:
         assert len(st.logits) == 3 and len(hidden) == 3
         for l in range(3):
             assert st.logits[l].shape == (6, V)
-            assert hidden[l].shape == (6, 8)
-        assert st.cache["enc_out"].shape == (len(SRC), 8)
+            assert hidden[l].shape == (1, 6, 8)
+        assert st.cache["enc_out"].shape == (1, len(SRC), 8)
         assert st.length_logits.shape == (65,)
 
     def test_ctc_mode_has_no_length_head(self):
@@ -141,26 +161,26 @@ class TestDecoderInputs:
     def test_unk_rows(self):
         c = cfg(decoder_input="unk")
         p = init_params(c, 2)
-        base, _ = decoder_inputs(p, c, SRC, 5)
+        base, _ = inputs1(p, c, 5)
         assert np.array_equal(base, np.tile(p["emb"][UNK_ID], (5, 1)))
 
     def test_uniform_copy_identity_when_lengths_match(self):
         c = cfg(decoder_input="uniform_copy")
         p = init_params(c, 2)
-        base, _ = decoder_inputs(p, c, SRC, len(SRC))
+        base, _ = inputs1(p, c, len(SRC))
         assert np.array_equal(base, p["emb"][list(SRC)])
 
     def test_uniform_copy_floor_map(self):
         c = cfg(decoder_input="uniform_copy")
         p = init_params(c, 2)
-        base, cache = decoder_inputs(p, c, SRC, 6)
-        assert list(cache["idx"]) == [0, 0, 1, 1, 2, 2]
+        base, cache = inputs1(p, c, 6)
+        assert list(cache["idx"][0]) == [0, 0, 1, 1, 2, 2]
         assert np.array_equal(base[4], p["emb"][SRC[2]])
 
     def test_soft_copy_rows_are_convex_combinations(self):
         c = cfg(decoder_input="soft_copy")
         p = init_params(c, 2)
-        base, cache = decoder_inputs(p, c, SRC, 4)
+        base, cache = inputs1(p, c, 4)
         w = cache["w"]
         assert np.allclose(w.sum(axis=1), 1.0)
         assert np.all(w >= 0)
@@ -170,7 +190,7 @@ class TestDecoderInputs:
         c = cfg(decoder_input="soft_copy")
         p = init_params(c, 2)
         p["soft_tau"] = np.array(1e-3)
-        base, _ = decoder_inputs(p, c, SRC, len(SRC))
+        base, _ = inputs1(p, c, len(SRC))
         assert np.allclose(base, p["emb"][list(SRC)], atol=1e-9)
 
     def test_nonpositive_tau_rejected(self):
@@ -178,23 +198,23 @@ class TestDecoderInputs:
         p = init_params(c, 2)
         p["soft_tau"] = np.array(0.0)
         with pytest.raises(ModelError):
-            decoder_inputs(p, c, SRC, 3)
+            inputs1(p, c, 3)
 
     def test_glance_rows_verbatim(self):
         c = cfg(decoder_input="uniform_copy")
         p = init_params(c, 2)
         mask = GlanceMask((1, 3), (8, 6), 5)
-        base, _ = decoder_inputs(p, c, SRC, 5, glance=mask)
+        base, _ = inputs1(p, c, 5, glance=mask)
         assert np.array_equal(base[1], p["emb"][8])
         assert np.array_equal(base[3], p["emb"][6])
-        plain, _ = decoder_inputs(p, c, SRC, 5)
+        plain, _ = inputs1(p, c, 5)
         assert np.array_equal(base[0], plain[0])
 
     def test_glance_length_mismatch_rejected(self):
         c = cfg()
         p = init_params(c, 2)
         with pytest.raises(ModelError):
-            decoder_inputs(p, c, SRC, 5, glance=GlanceMask((0,), (8,), 4))
+            inputs1(p, c, 5, glance=GlanceMask((0,), (8,), 4))
 
 
 def within(got, want, rel=1e-12):
@@ -220,10 +240,14 @@ class TestBatchAxis:
         for b, (src, T) in enumerate(zip(self.SRCS, self.LENS)):
             one = forward(p, c, src, T, prev_ids=prevs[b] if prevs else None,
                           glance=glance[b] if glance else None)
+            alone = forward(p, c, [src], [T], prev_ids=[prevs[b]] if prevs else None,
+                            glance=[glance[b]] if glance else None)
             for l in range(c.dec_layers):
                 assert within(st.logits[l][b, :T], one.logits[l])
+                assert np.array_equal(alone.logits[l][0], one.logits[l])
             if c.mode == "length":
                 assert within(st.length_logits[b], one.length_logits)
+                assert np.array_equal(alone.length_logits[0], one.length_logits)
 
     def test_summed_gradient_equals_per_sentence_sum(self):
         c = cfg(decoder_input="soft_copy")
@@ -327,13 +351,13 @@ class TestLossValues:
     def test_nat_uniform_logits_is_log_vocab(self):
         c = cfg()
         st = forward(zeroed_like(c), c, SRC, len(TGT))
-        val, _ = token_loss(st.logits[-1], TGT)
+        val, _ = loss1(st.logits[-1], TGT)
         assert val == pytest.approx(math.log(V), rel=1e-12)
 
     def test_length_uniform_logits_is_log_classes(self):
         c = cfg(length_bound=32)
         st = forward(zeroed_like(c), c, SRC, 4)
-        val, _ = loss_length(st.length_logits, length_target_class(c, len(SRC), 4)[0])
+        val, _ = length_loss1(st.length_logits, length_target_class(c, len(SRC), 4)[0])
         assert val == pytest.approx(math.log(65), rel=1e-12)
 
     def test_nat_mask_excludes_positions(self):
@@ -341,7 +365,7 @@ class TestLossValues:
         p = init_params(c, 5)
         st = forward(p, c, SRC, len(TGT))
         mask = GlanceMask((0, 2), (TGT[0], TGT[2]), len(TGT))
-        val, dl = token_loss(st.logits[-1], TGT, mask=mask)
+        val, dl = loss1(st.logits[-1], TGT, mask=mask)
         assert np.all(dl[[0, 2]] == 0)
         logp = log_softmax(st.logits[-1])
         want = -(logp[1, TGT[1]] + logp[3, TGT[3]]) / 2
@@ -351,7 +375,7 @@ class TestLossValues:
         c = cfg()
         st = forward(init_params(c, 5), c, SRC, 2)
         mask = GlanceMask((0, 1), (6, 8), 2)
-        val, dl = token_loss(st.logits[-1], (6, 8), mask=mask)
+        val, dl = loss1(st.logits[-1], (6, 8), mask=mask)
         assert val == 0.0 and np.all(dl == 0)
 
     def test_ctc_loss_positive_and_infeasible_raises(self):
@@ -359,10 +383,10 @@ class TestLossValues:
 
         c = cfg(upsample=2)
         st = forward(init_params(c, 6), c, SRC, 6)
-        val, _ = token_loss(st.logits[-1], (6, 8, 10), ctc=True)
+        val, _ = loss1(st.logits[-1], (6, 8, 10), ctc=True)
         assert val > 0
         with pytest.raises(InfeasibleTargetError):
-            token_loss(st.logits[-1], (6, 6, 6, 6), ctc=True)  # needs 7 slots, table has 6
+            loss1(st.logits[-1], (6, 6, 6, 6), ctc=True)  # needs 7 slots, table has 6
 
     def test_length_target_class(self):
         c = cfg(length_bound=4)
@@ -385,9 +409,9 @@ class TestLossValues:
         c = cfg(upsample=2)
         x = forward(init_params(c, 6), c, SRC, 6).logits[-1]
         logits = x if ctc else x[:3]
-        val, dl = token_loss(logits, (6, 8, 10), ctc=ctc, mask=mask)
+        val, dl = loss1(logits, (6, 8, 10), ctc=ctc, mask=mask)
         assert dl.shape == logits.shape
-        assert token_loss(logits, (6, 8, 10), ctc=ctc, mask=mask, grad=False) == (val, None)
+        assert loss1(logits, (6, 8, 10), ctc=ctc, mask=mask, grad=False) == (val, None)
 
 
 @st.composite
@@ -450,14 +474,14 @@ class TestBatchedLossHeads:
         # the deep-supervision average, as the training objective forms it
         values, grad = [-0.0] * B, np.zeros((B, T_max, V))
         for logits in layers:
-            vals, dl = token_loss(logits, labels, ctc=ctc, mask=masks, lens=lens)
+            vals, dl = token_loss(logits, labels, lens, ctc=ctc, mask=masks)
             assert all(type(v) is float for v in vals)
             values = [a + v for a, v in zip(values, vals)]
             grad += dl / n_layers
         for b, (T, target, mask) in enumerate(zip(lens, labels, masks)):
             value, row_grad = -0.0, np.zeros((T, V))
             for logits in layers:
-                v, dl = token_loss(logits[b, :T], target, ctc=ctc, mask=mask)
+                v, dl = loss1(logits[b, :T], target, ctc=ctc, mask=mask)
                 assert type(v) is float
                 if not ctc:
                     want, want_grad = _parent_ce_row(logits[b, :T], target, mask)
@@ -479,7 +503,7 @@ class TestBatchedLossHeads:
         assert grad.shape == logits.shape
         assert loss_length(logits, classes, grad=False) == (values, None)
         for b, cls in enumerate(classes):
-            value, row_grad = loss_length(logits[b], cls)
+            value, row_grad = length_loss1(logits[b], cls)
             assert type(values[b]) is float and values[b] == value
             assert grad[b].tobytes() == row_grad.tobytes()
             want, want_grad = _parent_ce_row(logits[b][None], (cls,), None)
@@ -488,11 +512,26 @@ class TestBatchedLossHeads:
     def test_batch_needs_lengths(self):
         logits = np.zeros((2, 3, V))
         with pytest.raises(ModelError, match="one decoder length per row"):
-            token_loss(logits, [(5, 6, 7), (5,)])
+            token_loss(logits, [(5, 6, 7), (5,)], [3])
         with pytest.raises(ModelError, match="decoder length 2 != target length 3"):
-            token_loss(logits, [(5, 6, 7), (5,)], lens=[2, 1])
+            token_loss(logits, [(5, 6, 7), (5,)], [2, 1])
         with pytest.raises(ModelError, match="decoder length 4 exceeds the padded length 3"):
-            token_loss(logits, [(5, 6, 7, 8), (5,)], lens=[4, 1])
+            token_loss(logits, [(5, 6, 7, 8), (5,)], [4, 1])
+
+    @pytest.mark.parametrize("ctc", [False, True], ids=["ce", "ctc"])
+    def test_glance_mask_count_must_match_rows(self, ctc):
+        logits = np.zeros((2, 3, V))
+        labels, lens = [(5, 6, 7), (5,)], [3, 1]
+        with pytest.raises(ModelError, match=r"^1 glance masks for 2 rows$"):
+            token_loss(logits, labels, lens, ctc=ctc, mask=[None])
+        with pytest.raises(ModelError, match=r"^3 glance masks for 2 rows$"):
+            token_loss(logits, labels, lens, ctc=ctc, mask=[None, None, None])
+
+    def test_length_class_count_must_match_rows(self):
+        with pytest.raises(ModelError, match=r"^1 length classes for 2 rows$"):
+            loss_length(np.zeros((2, 65)), [3])
+        with pytest.raises(ModelError, match=r"^4 length classes for 2 rows$"):
+            loss_length(np.zeros((2, 64)), [0, 1, 2, 3])
 
 
 class TestDeepSupervision:
@@ -523,7 +562,7 @@ class TestDeepSupervision:
             c = cfg(dec_layers=3, dec_self_attention=(True, True, True), deep_supervision=True, **kw)
             p = init_params(c, 8)
             st = forward(p, c, SRC, T)
-            per_layer = [token_loss(st.logits[l], tgt, ctc=c.mode == "ctc") for l in range(3)]
+            per_layer = [loss1(st.logits[l], tgt, ctc=c.mode == "ctc") for l in range(3)]
             one = _batch_pass(p, c, [(TokenSeq(SRC), TokenSeq(tgt))], TrainConfig(),
                               None, None, train=True)
             grads = one.grads
@@ -531,7 +570,7 @@ class TestDeepSupervision:
             dlength = None
             if c.mode == "length":
                 cls, _ = length_target_class(c, len(SRC), len(tgt))
-                dlength = TrainConfig().length_loss_weight * loss_length(st.length_logits, cls)[1]
+                dlength = TrainConfig().length_loss_weight * length_loss1(st.length_logits, cls)[1]
             want = backward(p, st, [dl / 3 for _, dl in per_layer], dlength=dlength)
             assert all(np.array_equal(grads[k], want[k]) for k in want)
 
@@ -564,7 +603,7 @@ class TestGradients:
 
             def run(params):
                 st = forward(params, c, SRC, len(TGT))
-                val, dl = token_loss(st.logits[-1], TGT)
+                val, dl = loss1(st.logits[-1], TGT)
                 dls = [None] * c.dec_layers
                 dls[-1] = dl
                 return val, backward(params, st, dls)
@@ -578,7 +617,7 @@ class TestGradients:
 
         def run(params):
             st = forward(params, c, SRC, len(TGT), glance=mask)
-            val, dl = token_loss(st.logits[-1], TGT, mask=mask)
+            val, dl = loss1(st.logits[-1], TGT, mask=mask)
             dls = [None] * c.dec_layers
             dls[-1] = dl
             return val, backward(params, st, dls)
@@ -591,7 +630,7 @@ class TestGradients:
 
         def run(params):
             st = forward(params, c, SRC, 6)
-            val, dl = token_loss(st.logits[-1], (6, 8, 10), ctc=True)
+            val, dl = loss1(st.logits[-1], (6, 8, 10), ctc=True)
             dls = [None] * c.dec_layers
             dls[-1] = dl
             return val, backward(params, st, dls)
@@ -617,7 +656,7 @@ class TestGradients:
 
         def run(params):
             st = forward(params, c, SRC, 4)
-            val, dlen = loss_length(st.length_logits, length_target_class(c, len(SRC), 4)[0])
+            val, dlen = length_loss1(st.length_logits, length_target_class(c, len(SRC), 4)[0])
             return val, backward(params, st, [None] * c.dec_layers, dlength=dlen)
 
         fd_check(run, p, np.random.default_rng(18))
@@ -629,8 +668,8 @@ class TestGradients:
 
         def run(params):
             st = forward(params, c, SRC, len(TGT))
-            tv, dl = token_loss(st.logits[-1], TGT)
-            lv, dlen = loss_length(st.length_logits, length_target_class(c, len(SRC), len(TGT))[0])
+            tv, dl = loss1(st.logits[-1], TGT)
+            lv, dlen = length_loss1(st.length_logits, length_target_class(c, len(SRC), len(TGT))[0])
             dls = [None] * c.dec_layers
             dls[-1] = dl
             return tv + w * lv, backward(params, st, dls, dlength=w * dlen)
@@ -645,7 +684,7 @@ class TestGradients:
 
         def run(params):
             st = forward(params, c, SRC, len(prev), prev_ids=prev)
-            val, dl = token_loss(st.logits[-1], labels)
+            val, dl = loss1(st.logits[-1], labels)
             dls = [None] * c.dec_layers
             dls[-1] = dl
             return val, backward(params, st, dls)
@@ -658,7 +697,7 @@ class TestGradients:
 
         def run(params):
             st = forward(params, c, SRC, len(TGT), train=True, rng=np.random.default_rng(99))
-            val, dl = token_loss(st.logits[-1], TGT)
+            val, dl = loss1(st.logits[-1], TGT)
             dls = [None] * c.dec_layers
             dls[-1] = dl
             return val, backward(params, st, dls)
